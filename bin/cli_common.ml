@@ -42,6 +42,15 @@ let protect f =
     | Some err -> fail_error err
     | None -> raise e)
 
+(* [exit (eval cmd)] in place of [exit (Cmd.eval cmd)]: cmdliner's
+   own codes (124 for a bad flag, 123 for a term error) become the
+   table's usage code, 7. *)
+let eval cmd =
+  match Cmdliner.Cmd.eval_value cmd with
+  | Ok (`Ok () | `Version | `Help) -> 0
+  | Error (`Parse | `Term) -> Qruntime.Qir_error.exit_usage
+  | Error `Exn -> Cmdliner.Cmd.Exit.internal_error
+
 let parse_qir_file path =
   let src = try read_file path with Sys_error msg ->
     die ~code:Qruntime.Qir_error.exit_usage "%s" msg

@@ -43,4 +43,4 @@ let cmd =
     (Cmd.info "qasm2qir" ~doc)
     Term.(const run $ input $ qasm3 $ addressing $ record_output $ output)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli_common.eval cmd)

@@ -51,4 +51,4 @@ let cmd =
     (Cmd.info "qir2qasm" ~doc)
     Term.(const run $ input $ qasm3 $ lower $ output)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli_common.eval cmd)

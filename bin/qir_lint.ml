@@ -150,4 +150,4 @@ let cmd =
       const run $ input $ format $ werror $ notes $ ipo $ call_graph
       $ resources $ qubit_cap $ deadline $ throughput $ t_cap)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli_common.eval cmd)

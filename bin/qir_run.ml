@@ -351,4 +351,4 @@ let cmd =
       $ timeout $ shot_timeout $ retries $ domains $ local_bits $ mem_budget
       $ opt_quantum)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli_common.eval cmd)

@@ -409,4 +409,4 @@ let cmd =
       $ overload_depth $ chunk $ weights $ no_sleep $ executors $ domains
       $ local_bits)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli_common.eval cmd)

@@ -196,4 +196,4 @@ let cmd =
       const run $ input $ passes $ lower $ optimize $ opt_quantum $ check
       $ addressing $ emit $ verify $ lint $ resources $ werror $ output)
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cli_common.eval cmd)

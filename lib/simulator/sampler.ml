@@ -81,29 +81,13 @@ let sample ?(seed = 1) ?(fuse = true) ~shots (c : Circuit.t) =
     if fuse then Fusion.run_circuit ~seed (strip_measurements c)
     else Statevector.run_circuit ~seed (strip_measurements c)
   in
-  let meas = measurements c in
-  let m = List.length meas in
-  let qubits = Array.of_list (List.map fst meas) in
-  (* marginal distribution over the measured qubits, outcome bit j =
-     state of qubits.(j) *)
-  let probs = Array.make (1 lsl m) 0.0 in
-  let dim = Statevector.dim st in
-  for i = 0 to dim - 1 do
-    let o = ref 0 in
-    for j = 0 to m - 1 do
-      if i land (1 lsl qubits.(j)) <> 0 then o := !o lor (1 lsl j)
-    done;
-    probs.(!o) <- probs.(!o) +. Statevector.probability st i
-  done;
-  (* cumulative distribution; the final entry is forced to 1 so a draw
-     of ~1.0 cannot fall off the end under accumulated rounding *)
-  let outcomes = Array.length probs in
-  let cumulative = Array.make outcomes 0.0 in
-  let acc = ref 0.0 in
-  for o = 0 to outcomes - 1 do
-    acc := !acc +. probs.(o);
-    cumulative.(o) <- !acc
-  done;
+  let qubits = Array.of_list (List.map fst (measurements c)) in
+  let m = Array.length qubits in
+  (* outcome bit j = state of qubits.(j); the final entry is forced to 1
+     so a draw of ~1.0 cannot fall off the end under accumulated
+     rounding *)
+  let cumulative = Statevector.cumulative_marginal st qubits in
+  let outcomes = Array.length cumulative in
   cumulative.(outcomes - 1) <- 1.0;
   let rng = Rng.create seed in
   let counts = Hashtbl.create 64 in

@@ -15,9 +15,18 @@ val sample :
   (string * int) list
 (** [sample ~shots c] is a sorted histogram of measurement bitstrings
     (clbit order, measured clbits only — the same key format as the
-    per-shot executor). Raises [Invalid_argument] if [c] is not
-    {!batchable}. [fuse] (default true) runs the prefix through
-    {!Fusion}. *)
+    per-shot executor). [fuse] (default true) runs the prefix through
+    {!Fusion}.
+
+    The histogram is a function of [seed] alone: the same seed gives
+    exactly the same histogram under every shard layout and Domain pool
+    size, because the cumulative distribution is built bit-for-bit the
+    same way ({!Statevector.cumulative_marginal}). Cost after the
+    prefix: one sweep over the [2^n] amplitudes, then [log2 (2^m)]
+    comparisons per shot for [m] measured qubits.
+
+    Raises [Sim_error.Error] if [c] is not {!batchable} or [shots] is
+    negative. *)
 
 val strip_measurements : Qcircuit.Circuit.t -> Qcircuit.Circuit.t
 (** The unitary prefix: the circuit with all measurements removed. *)

@@ -147,8 +147,8 @@ let probability st i =
   and m = st.im.(i lsr st.lb).{i land lm} in
   (r *. r) +. (m *. m)
 
-(* Direct fill (no closure per element): this sits on the sampler's
-   path. Beware: materializes all 2^n probabilities. *)
+(* Direct fill (no closure per element). Beware: materializes all 2^n
+   probabilities; the sampler uses {!cumulative_marginal} instead. *)
 let probabilities st =
   let out = Array.make (dim st) 0.0 in
   let shard_size = 1 lsl st.lb in
@@ -160,6 +160,80 @@ let probabilities st =
       Array.unsafe_set out (base + j) ((r *. r) +. (m *. m))
     done
   done;
+  out
+
+(* The sampler's kernel: one sweep in basis order, shard by shard. Every
+   outcome's probabilities are added in increasing basis-index order
+   (and [0.0 +. p = p] exactly), so each entry is bit-for-bit the
+   running sum of the per-amplitude marginal, whatever the shard
+   layout. *)
+let cumulative_marginal st qubits =
+  let m = Array.length qubits in
+  let out = Array.make (1 lsl m) 0.0 in
+  let shard_size = 1 lsl st.lb in
+  let identity = m = st.n && Array.for_all Fun.id (Array.mapi ( = ) qubits) in
+  if identity then begin
+    (* outcome = basis index: accumulate straight into the cumulative *)
+    let acc = ref 0.0 in
+    for s = 0 to shard_count st - 1 do
+      let re = st.re.(s) and im = st.im.(s) in
+      let base = s lsl st.lb in
+      for j = 0 to shard_size - 1 do
+        let r = bget re j and mi = bget im j in
+        acc := !acc +. ((r *. r) +. (mi *. mi));
+        Array.unsafe_set out (base + j) !acc
+      done
+    done
+  end
+  else begin
+    (* tables.(b).(v): the outcome bits of the qubits in byte [b] of the
+       basis index when that byte is [v]. The gather is linear over
+       disjoint bits, so the outcome of index [hi lor lo] (with [lo] the
+       low byte) is [gather hi lor tables.(0).(lo)]. *)
+    let tables =
+      Array.init
+        (max 1 ((st.n + 7) / 8))
+        (fun b ->
+          Array.init 256 (fun v ->
+              let o = ref 0 in
+              Array.iteri
+                (fun j q ->
+                  if q lsr 3 = b && v land (1 lsl (q land 7)) <> 0 then
+                    o := !o lor (1 lsl j))
+                qubits;
+              !o))
+    in
+    let gather i =
+      let o = ref 0 and i = ref i and b = ref 0 in
+      while !i <> 0 do
+        o := !o lor tables.(!b).(!i land 255);
+        i := !i lsr 8;
+        incr b
+      done;
+      !o
+    in
+    let low = tables.(0) in
+    let block = min 256 shard_size in
+    for s = 0 to shard_count st - 1 do
+      let re = st.re.(s) and im = st.im.(s) in
+      let base = s lsl st.lb in
+      for blk = 0 to (shard_size / block) - 1 do
+        let j0 = blk * block in
+        let ohi = gather (base + j0) in
+        for l = 0 to block - 1 do
+          let r = bget re (j0 + l) and mi = bget im (j0 + l) in
+          let o = ohi lor Array.unsafe_get low l in
+          Array.unsafe_set out o
+            (Array.unsafe_get out o +. ((r *. r) +. (mi *. mi)))
+        done
+      done
+    done;
+    let acc = ref 0.0 in
+    for o = 0 to Array.length out - 1 do
+      acc := !acc +. Array.unsafe_get out o;
+      Array.unsafe_set out o !acc
+    done
+  end;
   out
 
 let check_qubit st q =

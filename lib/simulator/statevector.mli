@@ -55,6 +55,17 @@ val probability : t -> int -> float
 
 val probabilities : t -> float array
 
+val cumulative_marginal : t -> int array -> float array
+(** [cumulative_marginal st qubits] is the cumulative distribution of
+    measuring the distinct qubits [qubits]: outcome bit [j] is the state
+    of [qubits.(j)], and entry [o] sums the marginal probabilities of
+    outcomes [0..o]. One sweep over the amplitudes: when [qubits] is
+    [0..n-1] in order the sweep accumulates straight into the result;
+    otherwise it gathers each outcome from per-byte lookup tables built
+    once per call and sums the marginal in place. Every outcome's
+    probabilities are added in increasing basis-index order, so the
+    result is bit-for-bit the same under every shard layout. *)
+
 val add_qubit : t -> unit
 (** Tensors |0> onto the high end of the register. *)
 

@@ -410,21 +410,130 @@ let prop_cluster_shard_differential =
         QCheck2.Test.fail_reportf "amplitude deviation %g" dev;
       true)
 
-(* Fixed seed => the sampler histogram is bit-identical whether the
-   state is flat or sharded, clustered or not. *)
+(* The sampler's original marginalization, kept as an oracle: one
+   [probability] call and a bit-by-bit outcome rebuild per amplitude,
+   then a separate running sum. [Sampler.sample] must reproduce its
+   cumulative distribution, and so its histograms, bit for bit. *)
+let oracle_cumulative st qubits =
+  let m = Array.length qubits in
+  let probs = Array.make (1 lsl m) 0.0 in
+  for i = 0 to Sv.dim st - 1 do
+    let o = ref 0 in
+    for j = 0 to m - 1 do
+      if i land (1 lsl qubits.(j)) <> 0 then o := !o lor (1 lsl j)
+    done;
+    probs.(!o) <- probs.(!o) +. Sv.probability st i
+  done;
+  let acc = ref 0.0 in
+  Array.map (fun p -> acc := !acc +. p; !acc) probs
+
+let oracle_sample ~seed ~shots c =
+  let meas =
+    List.filter_map
+      (fun (op : Circuit.op) ->
+        match op.Circuit.kind with
+        | Circuit.Measure (q, cl) -> Some (q, cl)
+        | _ -> None)
+      c.Circuit.ops
+    |> List.sort (fun (_, a) (_, b) -> compare a b)
+  in
+  let m = List.length meas in
+  let st, _ = Qsim.Fusion.run_circuit ~seed (Qsim.Sampler.strip_measurements c) in
+  let cumulative = oracle_cumulative st (Array.of_list (List.map fst meas)) in
+  let outcomes = Array.length cumulative in
+  cumulative.(outcomes - 1) <- 1.0;
+  let rng = Rng.create seed in
+  let counts = Array.make outcomes 0 in
+  for _ = 1 to shots do
+    let u = Rng.float rng in
+    let lo = ref 0 and hi = ref (outcomes - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cumulative.(mid) < u then lo := mid + 1 else hi := mid
+    done;
+    counts.(!lo) <- counts.(!lo) + 1
+  done;
+  List.init outcomes (fun o ->
+      (String.init m (fun j -> if o land (1 lsl j) <> 0 then '1' else '0'),
+       counts.(o)))
+  |> List.filter (fun (_, n) -> n > 0)
+  |> List.sort compare
+
+(* The gates of [c] followed by [Measure (q, cl)] for each pair. *)
+let measure_pairs c pairs =
+  let b = Circuit.Build.create ~num_qubits:c.Circuit.num_qubits
+      ~num_clbits:(List.length pairs) ()
+  in
+  List.iter
+    (fun (op : Circuit.op) ->
+      match op.Circuit.kind with
+      | Circuit.Gate (g, qs) -> Circuit.Build.gate b g qs
+      | _ -> ())
+    c.Circuit.ops;
+  List.iter (fun (q, cl) -> Circuit.Build.measure b q cl) pairs;
+  Circuit.Build.finish b
+
+(* Fixed seed => the sampler histogram is bit-identical to the
+   oracle's, whether the state is flat or sharded, pooled or not, for
+   every shape of measured set. *)
 let test_histogram_shard_invariant () =
-  let c = measure_all (Generate.random ~seed:19 ~gates:60 ~parametric:true 6) in
-  let flat = Qsim.Sampler.sample ~seed:11 ~shots:500 c in
-  let sharded =
-    with_local_bits 3 (fun () -> Qsim.Sampler.sample ~seed:11 ~shots:500 c)
+  let c6 = Generate.random ~seed:23 ~gates:60 ~parametric:true 6 in
+  let c11 = Generate.random ~seed:29 ~gates:110 ~parametric:true 11 in
+  let cases =
+    [
+      ("identity", measure_all c6);
+      ("permuted full register",
+       measure_pairs c6 [ (3, 0); (0, 1); (5, 2); (1, 3); (4, 4); (2, 5) ]);
+      ("strict subset", measure_pairs c6 [ (4, 0); (1, 1); (2, 2) ]);
+      ("clbit-remapped order", measure_pairs c6 [ (0, 2); (3, 0); (5, 1) ]);
+      ("identity, 11 qubits", measure_all c11);
+      ("subset wider than one byte", measure_pairs c11
+         [ (10, 0); (3, 1); (8, 2); (0, 3); (9, 4) ]);
+    ]
   in
-  check bool_t "sharded histogram bit-identical" true (flat = sharded);
-  let sharded_par =
-    with_local_bits 2 (fun () ->
-        with_pool ~domains:4 ~threshold:16 (fun () ->
-            Qsim.Sampler.sample ~seed:11 ~shots:500 c))
+  let configs =
+    [
+      ("flat", fun f -> f ());
+      ("local_bits 3", fun f -> with_local_bits 3 f);
+      ("local_bits 2, 4-domain pool",
+       fun f -> with_local_bits 2 (fun () ->
+           with_pool ~domains:4 ~threshold:16 f));
+    ]
   in
-  check bool_t "sharded+pooled histogram bit-identical" true (flat = sharded_par)
+  List.iter
+    (fun (name, c) ->
+      let expected = oracle_sample ~seed:17 ~shots:3000 c in
+      List.iter
+        (fun (cfg, within) ->
+          let got =
+            within (fun () -> Qsim.Sampler.sample ~seed:17 ~shots:3000 c)
+          in
+          check bool_t (Printf.sprintf "%s (%s): histogram" name cfg) true
+            (got = expected))
+        configs)
+    cases
+
+(* Direct kernel check, including the degenerate widths: the cumulative
+   distribution is the oracle's running sum, bit for bit. *)
+let test_cumulative_marginal_exact () =
+  let c = Generate.random ~seed:31 ~gates:90 ~parametric:true 9 in
+  let check_on label st =
+    List.iter
+      (fun qubits ->
+        let got = Sv.cumulative_marginal st qubits in
+        let expected = oracle_cumulative st qubits in
+        check bool_t
+          (Printf.sprintf "%s [%s]" label
+             (String.concat ";" (Array.to_list (Array.map string_of_int qubits))))
+          true
+          (Array.for_all2 (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+             got expected))
+      [ [||]; [| 8 |]; Array.init 9 Fun.id; [| 8; 7; 6; 5; 4; 3; 2; 1; 0 |];
+        [| 0; 1; 2 |]; [| 2; 8; 5 |] ]
+  in
+  check_on "flat" (fst (Qsim.Fusion.run_circuit ~seed:5 c));
+  with_local_bits 3 (fun () ->
+      check_on "local_bits 3" (fst (Qsim.Fusion.run_circuit ~seed:5 c)))
 
 (* Gates whose qubit span exceeds the shard width: every amplitude
    group straddles shard boundaries. *)
@@ -532,6 +641,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cluster_shard_differential;
     Alcotest.test_case "histogram invariant under sharding" `Quick
       test_histogram_shard_invariant;
+    Alcotest.test_case "cumulative marginal is bit-exact" `Quick
+      test_cumulative_marginal_exact;
     Alcotest.test_case "shard-straddling gates" `Quick
       test_shard_straddling_gates;
     Alcotest.test_case "add_qubit across the shard split" `Quick
