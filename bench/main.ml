@@ -1484,10 +1484,14 @@ let e11 () =
    argument and forwarding it down; the deepest helper measures. main
    allocates [qubits] qubits, drives each through the chain and releases
    it. Every summary depends on the next one, so the bottom-up engine
-   pays the full propagation cost. The table reports call graph +
-   summary construction (and its per-function cost) next to the price of
+   pays the full propagation cost, and the definitions come callees
+   first (f(F-1) ... f0, main), the order that made the old round-robin
+   constant-address fixpoint quadratic. The table reports call graph +
+   summary construction (and its per-function cost), the number of
+   function analyses the constant-address fixpoint ran, and the price of
    the whole-module interprocedural lint vs the entry-point-only
-   (--ipo=false) intraprocedural run. Written to BENCH_callgraph.json. *)
+   (--ipo=false) intraprocedural run. Written to BENCH_callgraph.json;
+   top-level records other than this experiment's are kept. *)
 
 let chain_src ~funcs ~qubits =
   let b = Buffer.create 4096 in
@@ -1524,8 +1528,8 @@ let chain_src ~funcs ~qubits =
 let e12 () =
   Harness.section "E12"
     "interprocedural analysis: summary cost and whole-module lint";
-  Harness.row "  %-14s %8s %12s %10s %12s %12s %7s@\n" "module" "instrs"
-    "summaries" "per func" "lint ipo" "lint intra" "ratio";
+  Harness.row "  %-14s %8s %12s %10s %9s %12s %12s %7s@\n" "module" "instrs"
+    "summaries" "per func" "analyses" "lint ipo" "lint intra" "ratio";
   let rows =
     List.map
       (fun (funcs, qubits) ->
@@ -1538,6 +1542,9 @@ let e12 () =
               let cg = Qir_analysis.Call_graph.build m in
               ignore (Qir_analysis.Summary.of_module ~call_graph:cg m))
         in
+        let analyses =
+          Qir_analysis.Const_addr.(analyses (analyze_module m))
+        in
         let t_ipo =
           Harness.time_ns (name ^ " ipo") (fun () ->
               ignore (Qir_analysis.Lint.run ~notes:false ~ipo:true m))
@@ -1547,26 +1554,53 @@ let e12 () =
               ignore (Qir_analysis.Lint.run ~notes:false ~ipo:false m))
         in
         let per_func = t_sum /. float_of_int nfuncs in
-        Harness.row "  %-14s %8d %12s %10s %12s %12s %6.1fx@\n" name instrs
+        Harness.row "  %-14s %8d %12s %10s %9d %12s %12s %6.1fx@\n" name
+          instrs
           (Harness.ns_to_string t_sum)
           (Harness.ns_to_string per_func)
+          analyses
           (Harness.ns_to_string t_ipo)
           (Harness.ns_to_string t_intra)
           (t_ipo /. t_intra);
-        (name, nfuncs, instrs, t_sum, per_func, t_ipo, t_intra))
+        (name, nfuncs, instrs, t_sum, per_func, analyses, t_ipo, t_intra))
       [ (4, 4); (16, 8); (64, 8); (256, 16) ]
   in
   let rows_json =
     String.concat ",\n"
       (List.map
-         (fun (name, nfuncs, instrs, t_sum, per_func, t_ipo, t_intra) ->
+         (fun (name, nfuncs, instrs, t_sum, per_func, analyses, t_ipo, t_intra) ->
            Printf.sprintf
              {|      { "module": "%s", "functions": %d, "instrs": %d,
         "summaries_ns": %.1f, "summary_ns_per_function": %.1f,
+        "const_addr_analyses": %d,
         "lint_ipo_ns": %.1f, "lint_intra_ns": %.1f, "ipo_over_intra": %.2f }|}
-             name nfuncs instrs t_sum per_func t_ipo t_intra
+             name nfuncs instrs t_sum per_func analyses t_ipo t_intra
              (t_ipo /. t_intra))
          rows)
+  in
+  (* other top-level records, one line per member *)
+  let kept =
+    let open Qservice.Jsonx in
+    let member indent (k, v) =
+      Printf.sprintf "%s%s: %s" indent (to_string (Str k)) (to_string v)
+    in
+    match
+      parse
+        (In_channel.with_open_bin "BENCH_callgraph.json" In_channel.input_all)
+    with
+    | Ok (Obj fields) ->
+      List.filter_map
+        (fun (k, v) ->
+          match v with
+          | _ when String.equal k "e12_interprocedural" -> None
+          | Obj members ->
+            Some
+              (Printf.sprintf ",\n  %s: {\n%s\n  }" (to_string (Str k))
+                 (String.concat ",\n" (List.map (member "    ") members)))
+          | v -> Some (",\n" ^ member "  " (k, v)))
+        fields
+    | Ok _ | Error _ -> []
+    | exception Sys_error _ -> []
   in
   let json =
     Printf.sprintf
@@ -1575,10 +1609,10 @@ let e12 () =
     "chain_modules": [
 %s
     ]
-  }
+  }%s
 }
 |}
-      rows_json
+      rows_json (String.concat "" kept)
   in
   let oc = open_out "BENCH_callgraph.json" in
   output_string oc json;

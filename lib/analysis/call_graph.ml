@@ -24,6 +24,7 @@ module SSet = Set.Make (String)
 type t = {
   m : Ir_module.t;
   defined : string list;  (* in module order *)
+  funcs : (string, Func.t) Hashtbl.t;  (* defined name -> body, built once *)
   edges : string list SMap.t;  (* defined f -> defined callees, dedup *)
   externals : string list SMap.t;  (* defined f -> bodyless classical callees *)
   sccs : string list list;  (* bottom-up: callees before callers *)
@@ -83,14 +84,12 @@ let tarjan nodes succs =
   List.rev !sccs
 
 let build (m : Ir_module.t) : t =
-  let defined_set =
-    List.fold_left
-      (fun acc (f : Func.t) -> SSet.add f.Func.name acc)
-      SSet.empty (Ir_module.defined_funcs m)
-  in
-  let defined =
-    List.map (fun (f : Func.t) -> f.Func.name) (Ir_module.defined_funcs m)
-  in
+  let defined_funcs = Ir_module.defined_funcs m in
+  let funcs = Hashtbl.create (List.length defined_funcs) in
+  List.iter
+    (fun (f : Func.t) -> Hashtbl.replace funcs f.Func.name f)
+    defined_funcs;
+  let defined = List.map (fun (f : Func.t) -> f.Func.name) defined_funcs in
   let edges, externals =
     List.fold_left
       (fun (edges, externals) (f : Func.t) ->
@@ -102,12 +101,11 @@ let build (m : Ir_module.t) : t =
           |> List.rev |> dedup
         in
         let internal, external_ =
-          List.partition (fun c -> SSet.mem c defined_set) callees
+          List.partition (fun c -> Hashtbl.mem funcs c) callees
         in
         ( SMap.add f.Func.name internal edges,
           SMap.add f.Func.name external_ externals ))
-      (SMap.empty, SMap.empty)
-      (Ir_module.defined_funcs m)
+      (SMap.empty, SMap.empty) defined_funcs
   in
   let succs v = Option.value ~default:[] (SMap.find_opt v edges) in
   let sccs = tarjan defined succs in
@@ -138,8 +136,11 @@ let build (m : Ir_module.t) : t =
       go e;
       !seen
   in
-  { m; defined; edges; externals; sccs; recursive; entry; reachable }
+  { m; defined; funcs; edges; externals; sccs; recursive; entry; reachable }
 
+(* The defined function named [name]: one table lookup, where
+   {!Ir_module.find_func} scans the function list. *)
+let func t name = Hashtbl.find_opt t.funcs name
 let callees t f = Option.value ~default:[] (SMap.find_opt f t.edges)
 let external_callees t f = Option.value ~default:[] (SMap.find_opt f t.externals)
 let sccs_bottom_up t = t.sccs

@@ -240,32 +240,38 @@ let block_reached (facts : facts) label = Cfg.SSet.mem label facts.reached_block
 (* ------------------------------------------------------------------ *)
 (* Interprocedural propagation: seed every function's parameters with
    the join of the argument lattices at its reached call sites and
-   iterate to a fixpoint. Parameters only harden (Unknown -> Cst ->
-   Varying) and each round re-analyzes with harder seeds, so the loop
-   terminates; the round bound guards pathological inputs. A function
-   whose parameters are still Unknown at the fixpoint has no reached
-   call site — it is re-analyzed with Varying parameters so its facts
-   never rest on optimism nobody justified. *)
+   iterate to a fixpoint with a worklist. The queue starts with every
+   defined function, callers before callees (the reverse of the call
+   graph's bottom-up SCC order), so on an acyclic call graph each
+   function sees its callers' arguments before it is first analyzed. A
+   function is re-queued only when one of its parameter lattices
+   actually hardens, and never twice at once. Parameters only harden
+   (Unknown -> Cst -> Varying), so the loop ends after at most n + 2P
+   analyses for n functions and P parameters, at the least fixpoint —
+   the same one any other visiting order reaches. A function whose
+   parameters are still Unknown at the fixpoint has no reached call
+   site — it is re-analyzed with Varying parameters so its facts never
+   rest on optimism nobody justified. *)
 
 type module_facts = {
   per_func : (string, facts) Hashtbl.t;
   param_lats : (string, clat array) Hashtbl.t;
+  analyses : int;  (* function analyses the fixpoint ran *)
 }
 
 let func_facts (mf : module_facts) name =
   Option.value ~default:no_facts (Hashtbl.find_opt mf.per_func name)
 
 let param_lattices (mf : module_facts) name = Hashtbl.find_opt mf.param_lats name
+let analyses (mf : module_facts) = mf.analyses
 
-let analyze_module (m : Ir_module.t) : module_facts =
-  let defined = Ir_module.defined_funcs m in
-  let entry =
-    match Ir_module.entry_point m with
-    | Some f when not (Func.is_declaration f) -> Some f.Func.name
-    | None | Some _ -> None
+let analyze_module ?call_graph (m : Ir_module.t) : module_facts =
+  let cg =
+    match call_graph with Some cg -> cg | None -> Call_graph.build m
   in
+  let defined = Ir_module.defined_funcs m in
   let is_root (f : Func.t) =
-    match entry with
+    match Call_graph.entry_name cg with
     | Some e -> String.equal f.Func.name e
     | None -> true (* no entry: every function is a potential root *)
   in
@@ -276,35 +282,44 @@ let analyze_module (m : Ir_module.t) : module_facts =
         (Array.make (List.length f.Func.params)
            (if is_root f then Varying else Unknown)))
     defined;
-  let per_func = Hashtbl.create 8 in
+  let per_func = Hashtbl.create 8 and analyses = ref 0 in
   let reanalyze (f : Func.t) =
+    incr analyses;
     let facts = analyze ~params:(Hashtbl.find param_lats f.Func.name) f in
     Hashtbl.replace per_func f.Func.name facts;
     facts
   in
-  let changed = ref true and rounds = ref 0 in
-  let bound = (3 * List.length defined) + 3 in
-  while !changed && !rounds < bound do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun (f : Func.t) ->
-        let facts = reanalyze f in
-        List.iter
-          (fun (callee, lats) ->
-            match Hashtbl.find_opt param_lats callee with
-            | Some target when Array.length target = List.length lats ->
-              List.iteri
-                (fun i lat ->
-                  let joined = join_clat target.(i) lat in
-                  if not (clat_equal joined target.(i)) then begin
-                    target.(i) <- joined;
-                    changed := true
-                  end)
-                lats
-            | Some _ | None -> ())
-          facts.call_args)
-      defined
+  let queue = Queue.create () and queued = Hashtbl.create 8 in
+  let push name =
+    if not (Hashtbl.mem queued name) then begin
+      Hashtbl.replace queued name ();
+      Queue.add name queue
+    end
+  in
+  (* the SCCs partition the defined functions, so this queues them all *)
+  List.iter (List.iter push) (List.rev (Call_graph.sccs_bottom_up cg));
+  while not (Queue.is_empty queue) do
+    let name = Queue.pop queue in
+    Hashtbl.remove queued name;
+    match Call_graph.func cg name with
+    | None -> ()
+    | Some f ->
+      List.iter
+        (fun (callee, lats) ->
+          match Hashtbl.find_opt param_lats callee with
+          | Some target when Array.length target = List.length lats ->
+            let hardened = ref false in
+            List.iteri
+              (fun i lat ->
+                let joined = join_clat target.(i) lat in
+                if not (clat_equal joined target.(i)) then begin
+                  target.(i) <- joined;
+                  hardened := true
+                end)
+              lats;
+            if !hardened then push callee
+          | Some _ | None -> ())
+        (reanalyze f).call_args
   done;
   List.iter
     (fun (f : Func.t) ->
@@ -314,7 +329,7 @@ let analyze_module (m : Ir_module.t) : module_facts =
         ignore (reanalyze f)
       end)
     defined;
-  { per_func; param_lats }
+  { per_func; param_lats; analyses = !analyses }
 
 (* Is this operand, used at a qubit/result position, a proved-constant
    address that is *not* already spelled as one? *)

@@ -54,12 +54,15 @@ let run ?(notes = true) ?(ipo = true) ?resources (m : Ir_module.t) :
   | _ :: _ as structural -> structural
   | [] ->
     if ipo then begin
+      (* one call graph and one constant-address fixpoint, shared by
+         the summaries and the QA001 notes *)
       let cg = Call_graph.build m in
-      let summaries = Summary.of_module ~call_graph:cg m in
+      let const_facts = Const_addr.analyze_module ~call_graph:cg m in
+      let summaries = Summary.of_module ~call_graph:cg ~const_facts m in
       Call_graph.findings cg
       @ Lifetime.check_module ~summaries m
       @ Quantum_dce.findings ~summaries m
-      @ (if notes then Const_addr.notes m else [])
+      @ (if notes then Const_addr.notes ~module_facts:const_facts m else [])
       @ (if notes then Qdf_opt.notes m else [])
       @ resource_findings None
     end

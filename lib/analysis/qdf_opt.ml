@@ -499,7 +499,9 @@ let promote (m : Ir_module.t) : (Ir_module.t * int) option =
           List.exists
             (fun (d : Diagnostic.t) ->
               d.Diagnostic.severity = Diagnostic.Error)
-            (Lifetime.check_module m)
+            (Lifetime.check_module
+               ~summaries:(Summary.of_module ~call_graph:cg m)
+               m)
         then raise Refuse;
         let chain =
           match straight_chain entry with

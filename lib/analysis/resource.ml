@@ -829,15 +829,15 @@ let summarize ?call_graph (m : Ir_module.t) : fsum SMap.t =
       in
       List.fold_left
         (fun env fname ->
-          match Ir_module.find_func m fname with
-          | Some f when not (Func.is_declaration f) ->
+          match Call_graph.func cg fname with
+          | Some f ->
             let s =
               if recursive then
                 opaque_fsum fname (List.length f.Func.params)
               else analyze_func env f
             in
             SMap.add fname s env
-          | Some _ | None -> env)
+          | None -> env)
         env scc)
     SMap.empty
     (Call_graph.sccs_bottom_up cg)

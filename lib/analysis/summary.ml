@@ -633,8 +633,8 @@ let of_module ?call_graph ?const_facts (m : Ir_module.t) : table =
       in
       List.iter
         (fun fname ->
-          match Ir_module.find_func m fname with
-          | Some f when not (Func.is_declaration f) ->
+          match Call_graph.func cg fname with
+          | Some f ->
             let s =
               if recursive then
                 opaque_summary ~recursive:true fname
@@ -642,14 +642,14 @@ let of_module ?call_graph ?const_facts (m : Ir_module.t) : table =
               else summarize_func table f
             in
             Hashtbl.replace table fname s
-          | Some _ | None -> ())
+          | None -> ())
         scc)
     (Call_graph.sccs_bottom_up cg);
   (* stamp the interprocedural constant-address verdicts *)
   let mf =
     match const_facts with
     | Some mf -> mf
-    | None -> Const_addr.analyze_module m
+    | None -> Const_addr.analyze_module ~call_graph:cg m
   in
   List.iter
     (fun (name, s) ->

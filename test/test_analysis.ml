@@ -1115,6 +1115,405 @@ let qopt_props =
       prop;
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Interprocedural constant addresses: the worklist fixpoint           *)
+
+(* The round-robin loop the worklist replaced, kept as an oracle and
+   without its old round bound: re-analyze every defined function in
+   module order until one whole round hardens no parameter. *)
+let round_robin_facts (m : Ir_module.t) =
+  let defined = Ir_module.defined_funcs m in
+  let entry =
+    match Ir_module.entry_point m with
+    | Some f when not (Func.is_declaration f) -> Some f.Func.name
+    | None | Some _ -> None
+  in
+  let param_lats = Hashtbl.create 8 in
+  List.iter
+    (fun (f : Func.t) ->
+      let root =
+        match entry with Some e -> String.equal f.Func.name e | None -> true
+      in
+      Hashtbl.replace param_lats f.Func.name
+        (Array.make (List.length f.Func.params)
+           (if root then Const_addr.Varying else Const_addr.Unknown)))
+    defined;
+  let per_func = Hashtbl.create 8 in
+  let reanalyze (f : Func.t) =
+    let facts =
+      Const_addr.analyze ~params:(Hashtbl.find param_lats f.Func.name) f
+    in
+    Hashtbl.replace per_func f.Func.name facts;
+    facts
+  in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (f : Func.t) ->
+        List.iter
+          (fun (callee, lats) ->
+            match Hashtbl.find_opt param_lats callee with
+            | Some target when Array.length target = List.length lats ->
+              List.iteri
+                (fun i lat ->
+                  let joined = Const_addr.join_clat target.(i) lat in
+                  if not (Const_addr.clat_equal joined target.(i)) then begin
+                    target.(i) <- joined;
+                    changed := true
+                  end)
+                lats
+            | Some _ | None -> ())
+          (reanalyze f).Const_addr.call_args)
+      defined
+  done;
+  List.iter
+    (fun (f : Func.t) ->
+      let ps = Hashtbl.find param_lats f.Func.name in
+      if Array.exists (fun l -> l = Const_addr.Unknown) ps then begin
+        Array.iteri
+          (fun i l ->
+            if l = Const_addr.Unknown then ps.(i) <- Const_addr.Varying)
+          ps;
+        ignore (reanalyze f)
+      end)
+    defined;
+  (per_func, param_lats)
+
+let clats_equal a b =
+  List.length a = List.length b && List.for_all2 Const_addr.clat_equal a b
+
+let facts_equal (a : Const_addr.facts) (b : Const_addr.facts) =
+  Const_addr.SMap.equal Constant.equal a.Const_addr.consts b.Const_addr.consts
+  && Cfg.SSet.equal a.Const_addr.reached_blocks b.Const_addr.reached_blocks
+  && List.length a.Const_addr.call_args = List.length b.Const_addr.call_args
+  && List.for_all2
+       (fun (c1, l1) (c2, l2) -> String.equal c1 c2 && clats_equal l1 l2)
+       a.Const_addr.call_args b.Const_addr.call_args
+
+(* The worklist agrees with the oracle on every defined function:
+   parameter lattices, proved constants, reached blocks, call arguments.
+   Returns the first disagreeing function, if any. *)
+let worklist_disagreement (m : Ir_module.t) =
+  let mf = Const_addr.analyze_module m in
+  let per_func, param_lats = round_robin_facts m in
+  List.find_opt
+    (fun (f : Func.t) ->
+      let name = f.Func.name in
+      let lats_ok =
+        match
+          (Const_addr.param_lattices mf name, Hashtbl.find_opt param_lats name)
+        with
+        | Some a, Some b -> clats_equal (Array.to_list a) (Array.to_list b)
+        | None, None -> true
+        | _ -> false
+      in
+      let facts_ok =
+        match Hashtbl.find_opt per_func name with
+        | Some b -> facts_equal (Const_addr.func_facts mf name) b
+        | None -> false
+      in
+      not (lats_ok && facts_ok))
+    (Ir_module.defined_funcs m)
+
+let check_agrees what m =
+  match worklist_disagreement m with
+  | None -> ()
+  | Some f ->
+    Alcotest.failf "%s: worklist and oracle disagree on @%s" what f.Func.name
+
+(* Bench E12's call chain: [funcs] helpers, each applying a gate to its
+   qubit and forwarding qubit and result down; main drives [qubits]
+   allocated qubits into @f0 with constant result addresses. The bench
+   emits callees first (f255 ... f0, main); [callers_first] reverses the
+   order of the definitions. *)
+let chain_src ?(callers_first = false) ~funcs ~qubits () =
+  let helper i =
+    let b = Buffer.create 128 in
+    Printf.bprintf b "define void @f%d(ptr %%q, ptr %%r) {\nentry:\n" i;
+    Printf.bprintf b "  call void @__quantum__qis__%s__body(ptr %%q)\n"
+      (if i mod 2 = 0 then "h" else "x");
+    if i = funcs - 1 then
+      Buffer.add_string b "  call void @__quantum__qis__mz__body(ptr %q, ptr %r)\n"
+    else Printf.bprintf b "  call void @f%d(ptr %%q, ptr %%r)\n" (i + 1);
+    Buffer.add_string b "  ret void\n}\n\n";
+    Buffer.contents b
+  in
+  let main =
+    let b = Buffer.create 512 in
+    Buffer.add_string b "define void @main() \"entry_point\" {\nentry:\n";
+    for q = 0 to qubits - 1 do
+      Printf.bprintf b "  %%q%d = call ptr @__quantum__rt__qubit_allocate()\n" q
+    done;
+    for q = 0 to qubits - 1 do
+      Printf.bprintf b "  call void @f0(ptr %%q%d, ptr inttoptr (i64 %d to ptr))\n" q q
+    done;
+    for q = 0 to qubits - 1 do
+      Printf.bprintf b "  call void @__quantum__rt__qubit_release(ptr %%q%d)\n" q
+    done;
+    Buffer.add_string b "  ret void\n}\n";
+    Buffer.contents b
+  in
+  let helpers = List.init funcs helper in
+  String.concat ""
+    ([
+       "declare ptr @__quantum__rt__qubit_allocate()\n\
+        declare void @__quantum__rt__qubit_release(ptr)\n\
+        declare void @__quantum__qis__h__body(ptr)\n\
+        declare void @__quantum__qis__x__body(ptr)\n\
+        declare void @__quantum__qis__mz__body(ptr, ptr)\n\n";
+     ]
+    @ (if callers_first then (main ^ "\n") :: helpers
+       else List.rev helpers @ [ main ]))
+
+let ipo_prelude =
+  {|declare ptr @__quantum__rt__qubit_allocate()
+declare void @__quantum__qis__h__body(ptr)
+declare void @__quantum__qis__x__body(ptr)
+declare void @__quantum__qis__mz__body(ptr, ptr)
+|}
+
+(* Two paths hand @bottom different constants for %q (joins to
+   Varying) and the same constant for %r (stays Cst). *)
+let diamond_src =
+  ipo_prelude
+  ^ {|
+define void @bottom(ptr %q, ptr %r) {
+entry:
+  call void @__quantum__qis__h__body(ptr %q)
+  call void @__quantum__qis__mz__body(ptr %q, ptr %r)
+  ret void
+}
+define void @left() {
+entry:
+  call void @bottom(ptr inttoptr (i64 1 to ptr), ptr inttoptr (i64 3 to ptr))
+  ret void
+}
+define void @right() {
+entry:
+  call void @bottom(ptr inttoptr (i64 2 to ptr), ptr inttoptr (i64 3 to ptr))
+  ret void
+}
+define void @main() "entry_point" {
+entry:
+  call void @left()
+  call void @right()
+  ret void
+}|}
+
+let mutual_src =
+  ipo_prelude
+  ^ {|
+define void @even(ptr %q, i64 %n) {
+entry:
+  call void @__quantum__qis__h__body(ptr %q)
+  %more = icmp sgt i64 %n, 0
+  br i1 %more, label %rec, label %done
+rec:
+  %n1 = sub i64 %n, 1
+  call void @odd(ptr %q, i64 %n1)
+  br label %done
+done:
+  ret void
+}
+define void @odd(ptr %q, i64 %n) {
+entry:
+  call void @__quantum__qis__x__body(ptr %q)
+  %n1 = sub i64 %n, 1
+  call void @even(ptr %q, i64 %n1)
+  ret void
+}
+define void @main() "entry_point" {
+entry:
+  call void @even(ptr inttoptr (i64 1 to ptr), i64 5)
+  ret void
+}|}
+
+(* @orphan is never called: its parameter ends Varying, yet the call it
+   makes still feeds @helper's lattice. *)
+let unreachable_src =
+  ipo_prelude
+  ^ {|
+define void @helper(ptr %q) {
+entry:
+  call void @__quantum__qis__h__body(ptr %q)
+  ret void
+}
+define void @orphan(ptr %q) {
+entry:
+  call void @__quantum__qis__x__body(ptr %q)
+  call void @helper(ptr inttoptr (i64 3 to ptr))
+  ret void
+}
+define void @main() "entry_point" {
+entry:
+  call void @helper(ptr inttoptr (i64 3 to ptr))
+  ret void
+}|}
+
+let lats_of mf name =
+  match Const_addr.param_lattices mf name with
+  | Some a -> Array.to_list a
+  | None -> Alcotest.failf "no parameter lattices for @%s" name
+
+let is_cst = function Const_addr.Cst _ -> true | _ -> false
+
+let test_worklist_matches_round_robin () =
+  List.iter
+    (fun (funcs, qubits) ->
+      List.iter
+        (fun callers_first ->
+          let m = parse (chain_src ~callers_first ~funcs ~qubits ()) in
+          check_agrees
+            (Printf.sprintf "chain %d (callers_first=%b)" funcs callers_first)
+            m)
+        [ false; true ])
+    [ (4, 4); (16, 8); (64, 8) ];
+  let diamond = parse diamond_src in
+  check_agrees "diamond" diamond;
+  let mf = Const_addr.analyze_module diamond in
+  check bool_t "diamond: %q joins to Varying, %r stays Cst" true
+    (match lats_of mf "bottom" with
+    | [ Const_addr.Varying; r ] -> is_cst r
+    | _ -> false);
+  let mutual = parse mutual_src in
+  check_agrees "mutual recursion" mutual;
+  check bool_t "mutual recursion: %q stays Cst, %n Varying" true
+    (match lats_of (Const_addr.analyze_module mutual) "odd" with
+    | [ q; Const_addr.Varying ] -> is_cst q
+    | _ -> false);
+  let unreachable = parse unreachable_src in
+  check_agrees "unreachable function" unreachable;
+  let mf = Const_addr.analyze_module unreachable in
+  check bool_t "orphan's parameter ends Varying" true
+    (lats_of mf "orphan" = [ Const_addr.Varying ]);
+  check bool_t "helper's parameter is proved" true
+    (match lats_of mf "helper" with [ q ] -> is_cst q | _ -> false)
+
+(* The old loop stopped after 3n+3 rounds whether or not it had
+   converged. Here n = 2, so it stopped after 9 rounds; each round
+   hardens one more of @f's shifted parameters, so %a1..%a4 were left at
+   their optimistic Cst 1 and a false QA001 note claimed @f's H target
+   static. From depth 12 on %a1 is 2. *)
+let early_stop_src =
+  let params = List.init 12 (fun i -> Printf.sprintf "i64 %%a%d" (i + 1)) in
+  let shifted = List.init 11 (fun i -> Printf.sprintf "i64 %%a%d" (i + 2)) in
+  Printf.sprintf
+    {|declare void @__quantum__qis__h__body(ptr)
+
+define void @f(%s, i64 %%d) {
+entry:
+  %%p = inttoptr i64 %%a1 to ptr
+  call void @__quantum__qis__h__body(ptr %%p)
+  %%more = icmp sgt i64 %%d, 0
+  br i1 %%more, label %%rec, label %%done
+rec:
+  %%d1 = sub i64 %%d, 1
+  call void @f(%s, i64 2, i64 %%d1)
+  br label %%done
+done:
+  ret void
+}
+
+define void @main() "entry_point" {
+entry:
+  call void @f(%s, i64 20)
+  ret void
+}|}
+    (String.concat ", " params)
+    (String.concat ", " shifted)
+    (String.concat ", " (List.init 12 (fun _ -> "i64 1")))
+
+let test_no_early_stop () =
+  let m = parse early_stop_src in
+  let mf = Const_addr.analyze_module m in
+  let lats = lats_of mf "f" in
+  check int_t "13 parameters" 13 (List.length lats);
+  check bool_t "every parameter of @f is Varying" true
+    (List.for_all (fun l -> l = Const_addr.Varying) lats);
+  check int_t "no QA001 from the notes" 0
+    (count_rule "QA001" (Const_addr.notes ~module_facts:mf m));
+  check int_t "no QA001 from the lint" 0 (count_rule "QA001" (Lint.run m))
+
+(* A return to round-robin behaviour would re-analyze chains
+   quadratically; the worklist visits each function once. *)
+let test_worklist_linear_on_chains () =
+  List.iter
+    (fun funcs ->
+      List.iter
+        (fun callers_first ->
+          let m = parse (chain_src ~callers_first ~funcs ~qubits:2 ()) in
+          let defined = List.length (Ir_module.defined_funcs m) in
+          let n = Const_addr.analyses (Const_addr.analyze_module m) in
+          if n > 2 * defined then
+            Alcotest.failf
+              "chain of %d (callers_first=%b): %d analyses for %d functions"
+              funcs callers_first n defined)
+        [ false; true ])
+    [ 64; 256; 1024 ]
+
+(* Random multi-function modules in the shape of lint_smoke's corpus:
+   helpers take a qubit and an integer, derive a second address from
+   the integer, and call other helpers (recursion and cycles included)
+   with forwarded, derived, constant or freshly allocated arguments,
+   some behind a branch on the integer; definitions come in a shuffled
+   order and some helpers are never called. *)
+let random_ipo_module seed =
+  let st = Random.State.make [| seed |] in
+  let pick l = List.nth l (Random.State.int st (List.length l)) in
+  let nh = 1 + Random.State.int st 5 in
+  let const_ptr () =
+    Printf.sprintf "ptr inttoptr (i64 %d to ptr)" (Random.State.int st 3)
+  in
+  let call b ~qs ~ns =
+    Printf.bprintf b "  call void @h%d(%s, i64 %s)\n" (Random.State.int st nh)
+      (pick qs) (pick ns)
+  in
+  let helper i =
+    let b = Buffer.create 512 in
+    Printf.bprintf b "define void @h%d(ptr %%q, i64 %%n) {\nentry:\n" i;
+    Printf.bprintf b "  call void @__quantum__qis__%s__body(ptr %%q)\n"
+      (pick [ "h"; "x" ]);
+    Printf.bprintf b "  %%a = add i64 %%n, %d\n" (Random.State.int st 2);
+    Buffer.add_string b "  %p = inttoptr i64 %a to ptr\n";
+    Buffer.add_string b "  call void @__quantum__qis__h__body(ptr %p)\n";
+    let qs = [ "ptr %q"; "ptr %p"; const_ptr (); "ptr null" ]
+    and ns = [ "%n"; "%a"; string_of_int (Random.State.int st 3) ] in
+    for _ = 1 to Random.State.int st 3 do
+      call b ~qs ~ns
+    done;
+    Printf.bprintf b "  %%c = icmp eq i64 %%n, %d\n" (Random.State.int st 3);
+    Buffer.add_string b "  br i1 %c, label %then, label %done\nthen:\n";
+    if Random.State.bool st then call b ~qs ~ns;
+    Buffer.add_string b "  br label %done\ndone:\n  ret void\n}\n";
+    Buffer.contents b
+  in
+  let main =
+    let b = Buffer.create 512 in
+    Buffer.add_string b "define void @main() \"entry_point\" {\nentry:\n";
+    Buffer.add_string b "  %fresh = call ptr @__quantum__rt__qubit_allocate()\n";
+    let qs = [ "ptr %fresh"; const_ptr (); const_ptr () ]
+    and ns = [ "0"; "1"; string_of_int (Random.State.int st 3) ] in
+    for _ = 1 to Random.State.int st 4 do
+      call b ~qs ~ns
+    done;
+    Buffer.add_string b "  ret void\n}\n";
+    Buffer.contents b
+  in
+  let defs =
+    List.map (fun d -> (Random.State.bits st, d)) (main :: List.init nh helper)
+    |> List.sort compare |> List.map snd
+  in
+  parse (String.concat "\n" (ipo_prelude :: defs))
+
+let ipo_props =
+  [
+    QCheck2.Test.make ~count:200
+      ~name:"const-addr: worklist equals the round-robin oracle"
+      QCheck2.Gen.(int_range 0 1_000_000)
+      (fun seed -> worklist_disagreement (random_ipo_module seed) = None);
+  ]
+
 let suite =
   [
     Alcotest.test_case "engine: forward join and pruning" `Quick
@@ -1196,5 +1595,12 @@ let suite =
       test_qopt_release_hoist;
     Alcotest.test_case "quantum-opt: promotes to static addressing" `Quick
       test_qopt_promotion;
+    Alcotest.test_case "const-addr: worklist equals round-robin" `Quick
+      test_worklist_matches_round_robin;
+    Alcotest.test_case "const-addr: no early stop on deep shifts" `Quick
+      test_no_early_stop;
+    Alcotest.test_case "const-addr: linear analyses on chains" `Quick
+      test_worklist_linear_on_chains;
   ]
   @ List.map QCheck_alcotest.to_alcotest qopt_props
+  @ List.map QCheck_alcotest.to_alcotest ipo_props
