@@ -1477,6 +1477,31 @@ let e11 () =
   close_out oc;
   Harness.row "  wrote BENCH_lint.json@\n"
 
+(* The top-level records of [file] other than [except], rendered one
+   line per member and each preceded by ",\n", so an experiment can
+   rewrite its own section and keep the rest (e.g. perfbench
+   comparisons). *)
+let other_records file ~except =
+  let open Qservice.Jsonx in
+  let member indent (k, v) =
+    Printf.sprintf "%s%s: %s" indent (to_string (Str k)) (to_string v)
+  in
+  match parse (In_channel.with_open_bin file In_channel.input_all) with
+  | Ok (Obj fields) ->
+    String.concat ""
+      (List.filter_map
+         (fun (k, v) ->
+           match v with
+           | _ when String.equal k except -> None
+           | Obj members ->
+             Some
+               (Printf.sprintf ",\n  %s: {\n%s\n  }" (to_string (Str k))
+                  (String.concat ",\n" (List.map (member "    ") members)))
+           | v -> Some (",\n" ^ member "  " (k, v)))
+         fields)
+  | Ok _ | Error _ -> ""
+  | exception Sys_error _ -> ""
+
 (* ------------------------------------------------------------------ *)
 (* E12 — interprocedural analysis: summary cost and whole-module lint   *)
 
@@ -1578,30 +1603,7 @@ let e12 () =
              (t_ipo /. t_intra))
          rows)
   in
-  (* other top-level records, one line per member *)
-  let kept =
-    let open Qservice.Jsonx in
-    let member indent (k, v) =
-      Printf.sprintf "%s%s: %s" indent (to_string (Str k)) (to_string v)
-    in
-    match
-      parse
-        (In_channel.with_open_bin "BENCH_callgraph.json" In_channel.input_all)
-    with
-    | Ok (Obj fields) ->
-      List.filter_map
-        (fun (k, v) ->
-          match v with
-          | _ when String.equal k "e12_interprocedural" -> None
-          | Obj members ->
-            Some
-              (Printf.sprintf ",\n  %s: {\n%s\n  }" (to_string (Str k))
-                 (String.concat ",\n" (List.map (member "    ") members)))
-          | v -> Some (",\n" ^ member "  " (k, v)))
-        fields
-    | Ok _ | Error _ -> []
-    | exception Sys_error _ -> []
-  in
+  let kept = other_records "BENCH_callgraph.json" ~except:"e12_interprocedural" in
   let json =
     Printf.sprintf
       {|{
@@ -1612,7 +1614,7 @@ let e12 () =
   }%s
 }
 |}
-      rows_json (String.concat "" kept)
+      rows_json kept
   in
   let oc = open_out "BENCH_callgraph.json" in
   output_string oc json;
@@ -2001,12 +2003,13 @@ let e16 () =
     "corpus": { "gates_before": %d, "gates_after": %d,
       "reduction_pct": %.1f,
       "tape_eligible_before": %d, "tape_eligible_after": %d }
-  }
+  }%s
 }
 |}
       row_json gb ga
       (100. *. float_of_int (gb - ga) /. float_of_int (max 1 gb))
       t0 t1
+      (other_records "BENCH_qdfo.json" ~except:"e16_quantum_optimizer")
   in
   let oc = open_out "BENCH_qdfo.json" in
   output_string oc json;

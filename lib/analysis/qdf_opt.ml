@@ -106,8 +106,7 @@ let dangerous (k : Qdf.ekind) =
 (* Where may gate-removing rewrites fire in [f]? [None] = nowhere; a
    function gives the minimum eligible instruction index per block
    (max_int = the whole block is off-limits). *)
-let rewrite_thresholds (qdf : Qdf.t) ~is_entry (f : Func.t) :
-    (string -> int) option =
+let rewrite_thresholds (qdf : Qdf.t) ~is_entry : (string -> int) option =
   if not is_entry then None
   else
     let block_last_danger label =
@@ -119,7 +118,7 @@ let rewrite_thresholds (qdf : Qdf.t) ~is_entry (f : Func.t) :
             if dangerous e.Qdf.kind then Some e.Qdf.pos else acc)
           None evs
     in
-    match straight_chain f with
+    match straight_chain qdf.Qdf.func with
     | Some chain -> (
       let last =
         List.fold_left
@@ -179,91 +178,104 @@ let rebuild_gate_call (mg : Gate.t) (old : Instr.t) :
 (* ------------------------------------------------------------------ *)
 (* Cancellation and merging within a block                              *)
 
-let scan_block (qdf : Qdf.t) ~fname ~min_pos ~emit counters (b : Block.t) :
-    Block.t option =
-  match Qdf.block_events qdf b.Block.label with
-  | None -> None
-  | Some events ->
-    let n = Array.length events in
-    let alive = Array.make n true in
-    let kind = Array.map (fun (e : Qdf.event) -> e.Qdf.kind) events in
-    let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
-    let changed = ref false in
-    let where = Printf.sprintf "@%s %%%s" fname b.Block.label in
-    let note rule fmt =
-      Format.kasprintf
-        (fun msg ->
-          emit
-            (Diagnostic.make ~rule ~severity:Diagnostic.Note ~where "%s" msg))
-        fmt
-    in
-    let combine_from i g shape wires =
-      let rec scan j =
-        if j < n then
-          if not alive.(j) then scan (j + 1)
-          else
-            let commute_or_stop () =
-              if Qdf.gate_commutes_past shape wires kind.(j) then scan (j + 1)
-            in
-            match kind.(j) with
-            | Qdf.EGate { exact = Some g2; wires = w2; _ }
-              when wires_equal_list wires w2 -> (
-              if Gate.equal g2 (Gate.inverse g) then begin
+(* Returns the rewritten block with its event array: the surviving
+   events renumbered, and each merged gate re-classified against the
+   view's own facts, exactly as a fresh {!Qdf.of_func} would see it. *)
+let scan_block (qdf : Qdf.t) ~fname ~min_pos ~emit counters (b : Block.t)
+    (events : Qdf.event array) : (Block.t * Qdf.event array) option =
+  let n = Array.length events in
+  let alive = Array.make n true in
+  let kind = Array.map (fun (e : Qdf.event) -> e.Qdf.kind) events in
+  let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
+  let changed = ref false in
+  let where = Printf.sprintf "@%s %%%s" fname b.Block.label in
+  let note rule fmt =
+    Format.kasprintf
+      (fun msg ->
+        emit
+          (Diagnostic.make ~rule ~severity:Diagnostic.Note ~where "%s" msg))
+      fmt
+  in
+  let combine_from i g shape wires =
+    let rec scan j =
+      if j < n then
+        if not alive.(j) then scan (j + 1)
+        else
+          let commute_or_stop () =
+            if Qdf.gate_commutes_past shape wires kind.(j) then scan (j + 1)
+          in
+          match kind.(j) with
+          | Qdf.EGate { exact = Some g2; wires = w2; _ }
+            when wires_equal_list wires w2 -> (
+            if Gate.equal g2 (Gate.inverse g) then begin
+              alive.(i) <- false;
+              alive.(j) <- false;
+              counters.cancelled <- counters.cancelled + 1;
+              changed := true;
+              note "QO001" "cancellable pair: %s then %s on %s cancel"
+                (Gate.to_string g) (Gate.to_string g2)
+                (Qdf.wire_to_string (List.hd wires))
+            end
+            else
+              match Gate.merge g g2 with
+              | Some mg when Gate.is_identity mg ->
                 alive.(i) <- false;
                 alive.(j) <- false;
-                counters.cancelled <- counters.cancelled + 1;
+                counters.merged <- counters.merged + 1;
                 changed := true;
-                note "QO001" "cancellable pair: %s then %s on %s cancel"
+                note "QO002"
+                  "mergeable rotations: %s then %s on %s combine to identity"
                   (Gate.to_string g) (Gate.to_string g2)
                   (Qdf.wire_to_string (List.hd wires))
-              end
-              else
-                match Gate.merge g g2 with
-                | Some mg when Gate.is_identity mg ->
+              | Some mg -> (
+                match rebuild_gate_call mg instr.(j) with
+                | Some (callee', instr') ->
                   alive.(i) <- false;
-                  alive.(j) <- false;
+                  instr.(j) <- instr';
+                  kind.(j) <-
+                    Qdf.EGate
+                      { callee = callee'; shape = mg; exact = Some mg;
+                        wires = w2 };
                   counters.merged <- counters.merged + 1;
                   changed := true;
-                  note "QO002"
-                    "mergeable rotations: %s then %s on %s combine to identity"
+                  note "QO002" "mergeable rotations: %s then %s on %s -> %s"
                     (Gate.to_string g) (Gate.to_string g2)
                     (Qdf.wire_to_string (List.hd wires))
-                | Some mg -> (
-                  match rebuild_gate_call mg instr.(j) with
-                  | Some (callee', instr') ->
-                    alive.(i) <- false;
-                    instr.(j) <- instr';
-                    kind.(j) <-
-                      Qdf.EGate
-                        { callee = callee'; shape = mg; exact = Some mg;
-                          wires = w2 };
-                    counters.merged <- counters.merged + 1;
-                    changed := true;
-                    note "QO002" "mergeable rotations: %s then %s on %s -> %s"
-                      (Gate.to_string g) (Gate.to_string g2)
-                      (Qdf.wire_to_string (List.hd wires))
-                      (Gate.to_string mg)
-                  | None -> commute_or_stop ())
+                    (Gate.to_string mg)
                 | None -> commute_or_stop ())
-            | _ -> commute_or_stop ()
-      in
-      scan (i + 1)
+              | None -> commute_or_stop ())
+          | _ -> commute_or_stop ()
     in
-    for i = 0 to n - 1 do
-      if i >= min_pos && alive.(i) then
-        match kind.(i) with
-        | Qdf.EGate { exact = Some g; shape; wires; _ } ->
-          combine_from i g shape wires
-        | _ -> ()
-    done;
-    if not !changed then None
-    else begin
-      let instrs = ref [] in
-      for idx = n - 1 downto 0 do
-        if alive.(idx) then instrs := instr.(idx) :: !instrs
-      done;
-      Some (Block.mk b.Block.label !instrs b.Block.term)
-    end
+    scan (i + 1)
+  in
+  for i = 0 to n - 1 do
+    if i >= min_pos && alive.(i) then
+      match kind.(i) with
+      | Qdf.EGate { exact = Some g; shape; wires; _ } ->
+        combine_from i g shape wires
+      | _ -> ()
+  done;
+  if not !changed then None
+  else begin
+    let kept = List.filter (fun idx -> alive.(idx)) (List.init n Fun.id) in
+    let events' =
+      Array.of_list
+        (List.mapi
+           (fun pos idx ->
+             let i = instr.(idx) in
+             let kind =
+               if i == events.(idx).Qdf.instr then events.(idx).Qdf.kind
+               else Qdf.classify qdf.Qdf.vt qdf.Qdf.facts i (* merged *)
+             in
+             { Qdf.pos; instr = i; kind })
+           kept)
+    in
+    Some
+      ( Block.mk b.Block.label
+          (List.map (fun idx -> instr.(idx)) kept)
+          b.Block.term,
+        events' )
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Early release hoisting                                               *)
@@ -290,172 +302,202 @@ let use_counts (f : Func.t) =
     f.Func.blocks;
   h
 
-let hoist_block (qdf : Qdf.t) ~fname ~uses ~emit counters (b : Block.t) :
-    Block.t option =
-  match Qdf.block_events qdf b.Block.label with
-  | None -> None
-  | Some events ->
-    let n = Array.length events in
-    let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
-    let kind = Array.map (fun (e : Qdf.event) -> e.Qdf.kind) events in
-    let def_index = Hashtbl.create 16 in
-    Array.iteri
-      (fun idx (i : Instr.t) ->
-        match i.Instr.id with
-        | Some id -> Hashtbl.replace def_index id idx
-        | None -> ())
-      instr;
-    let where = Printf.sprintf "@%s %%%s" fname b.Block.label in
-    let result = ref None in
-    let j = ref 0 in
-    while !result = None && !j < n do
-      (match kind.(!j) with
-      | (Qdf.ERelease _ | Qdf.ERelease_array _) as rk ->
-        let jj = !j in
-        (* absorb the release's single-use pure operand chain so it can
-           move as one unit (the builder's load-then-release epilogue) *)
-        let group = ref [ jj ] in
-        let rec absorb idx =
-          List.iter
-            (fun (o : Operand.typed) ->
-              match o.Operand.v with
-              | Operand.Local id -> (
-                match Hashtbl.find_opt def_index id with
-                | Some d
-                  when (not (List.mem d !group))
-                       && d < jj
-                       && (not (Instr.has_side_effect instr.(d).Instr.op))
-                       && Hashtbl.find_opt uses id = Some 1 ->
-                  group := d :: !group;
-                  absorb d
-                | _ -> ())
-              | Operand.Const _ -> ())
-            (Instr.operands instr.(idx).Instr.op)
-        in
-        absorb jj;
-        let group = List.sort compare !group in
-        let gmin = List.hd group in
-        let group_has_load =
-          List.exists
-            (fun idx ->
-              match instr.(idx).Instr.op with
-              | Instr.Load _ -> true
-              | _ -> false)
-            group
-        in
-        let group_uses id =
-          List.exists
-            (fun idx ->
-              List.exists
-                (fun (o : Operand.typed) -> o.Operand.v = Operand.Local id)
-                (Instr.operands instr.(idx).Instr.op))
-            group
-        in
-        let quantum_crossed = ref 0 in
-        let ins = ref gmin in
-        (try
-           for k = gmin - 1 downto 0 do
-             let stop =
-               dangerous kind.(k)
-               || Qdf.may_interfere rk kind.(k)
-               || (group_has_load
-                  &&
-                  match instr.(k).Instr.op with
-                  | Instr.Store _ -> true
-                  | _ -> false)
-               ||
-               match instr.(k).Instr.id with
-               | Some id -> group_uses id
-               | None -> false
-             in
-             if stop then begin
-               ins := k + 1;
-               raise Exit
-             end
-             else begin
-               (match kind.(k) with
-               | Qdf.EGate _ | Qdf.EMeasure _ | Qdf.EReset _ ->
-                 incr quantum_crossed
-               | _ -> ());
-               ins := k
-             end
-           done
-         with Exit -> ());
-        if !quantum_crossed > 0 then begin
-          let ins = !ins in
-          let buf = ref [] in
-          Array.iteri
-            (fun idx i ->
-              if idx = ins then
-                List.iter (fun gi -> buf := instr.(gi) :: !buf) group;
-              if not (List.mem idx group) then buf := i :: !buf)
-            instr;
-          counters.hoisted <- counters.hoisted + 1;
-          emit
-            (Diagnostic.make ~rule:"QO003" ~severity:Diagnostic.Note ~where
-               "releasable early: %s retires %d quantum operation(s) before \
-                its last use requires"
-               (match rk with
-               | Qdf.ERelease w -> Qdf.wire_to_string w
-               | _ -> "qubit array")
-               !quantum_crossed);
-          result := Some (Block.mk b.Block.label (List.rev !buf) b.Block.term)
-        end
-      | _ -> ());
-      incr j
-    done;
-    !result
+(* Returns the rewritten block with its event array: the hoisted group's
+   events move along with its instructions. *)
+let hoist_block ~fname ~uses ~emit counters (b : Block.t)
+    (events : Qdf.event array) : (Block.t * Qdf.event array) option =
+  let n = Array.length events in
+  let instr = Array.map (fun (e : Qdf.event) -> e.Qdf.instr) events in
+  let kind = Array.map (fun (e : Qdf.event) -> e.Qdf.kind) events in
+  let def_index = Hashtbl.create 16 in
+  Array.iteri
+    (fun idx (i : Instr.t) ->
+      match i.Instr.id with
+      | Some id -> Hashtbl.replace def_index id idx
+      | None -> ())
+    instr;
+  let where = Printf.sprintf "@%s %%%s" fname b.Block.label in
+  let result = ref None in
+  let j = ref 0 in
+  while Option.is_none !result && !j < n do
+    (match kind.(!j) with
+    | (Qdf.ERelease _ | Qdf.ERelease_array _) as rk ->
+      let jj = !j in
+      (* absorb the release's single-use pure operand chain so it can
+         move as one unit (the builder's load-then-release epilogue) *)
+      let group = ref [ jj ] in
+      let rec absorb idx =
+        List.iter
+          (fun (o : Operand.typed) ->
+            match o.Operand.v with
+            | Operand.Local id -> (
+              match Hashtbl.find_opt def_index id with
+              | Some d
+                when (not (List.mem d !group))
+                     && d < jj
+                     && (not (Instr.has_side_effect instr.(d).Instr.op))
+                     && Hashtbl.find_opt uses id = Some 1 ->
+                group := d :: !group;
+                absorb d
+              | _ -> ())
+            | Operand.Const _ -> ())
+          (Instr.operands instr.(idx).Instr.op)
+      in
+      absorb jj;
+      let group = List.sort compare !group in
+      let gmin = List.hd group in
+      let group_has_load =
+        List.exists
+          (fun idx ->
+            match instr.(idx).Instr.op with
+            | Instr.Load _ -> true
+            | _ -> false)
+          group
+      in
+      let group_uses id =
+        List.exists
+          (fun idx ->
+            List.exists
+              (fun (o : Operand.typed) -> o.Operand.v = Operand.Local id)
+              (Instr.operands instr.(idx).Instr.op))
+          group
+      in
+      let quantum_crossed = ref 0 in
+      let ins = ref gmin in
+      (try
+         for k = gmin - 1 downto 0 do
+           let stop =
+             dangerous kind.(k)
+             || Qdf.may_interfere rk kind.(k)
+             || (group_has_load
+                &&
+                match instr.(k).Instr.op with
+                | Instr.Store _ -> true
+                | _ -> false)
+             ||
+             match instr.(k).Instr.id with
+             | Some id -> group_uses id
+             | None -> false
+           in
+           if stop then begin
+             ins := k + 1;
+             raise Exit
+           end
+           else begin
+             (match kind.(k) with
+             | Qdf.EGate _ | Qdf.EMeasure _ | Qdf.EReset _ ->
+               incr quantum_crossed
+             | _ -> ());
+             ins := k
+           end
+         done
+       with Exit -> ());
+      if !quantum_crossed > 0 then begin
+        let ins = !ins in
+        let order = ref [] in
+        for idx = 0 to n - 1 do
+          if idx = ins then List.iter (fun gi -> order := gi :: !order) group;
+          if not (List.mem idx group) then order := idx :: !order
+        done;
+        let order = List.rev !order in
+        counters.hoisted <- counters.hoisted + 1;
+        emit
+          (Diagnostic.make ~rule:"QO003" ~severity:Diagnostic.Note ~where
+             "releasable early: %s retires %d quantum operation(s) before \
+              its last use requires"
+             (match rk with
+             | Qdf.ERelease w -> Qdf.wire_to_string w
+             | _ -> "qubit array")
+             !quantum_crossed);
+        result :=
+          Some
+            ( Block.mk b.Block.label
+                (List.map (fun idx -> instr.(idx)) order)
+                b.Block.term,
+              Array.of_list
+                (List.mapi
+                   (fun pos idx -> { (events.(idx)) with Qdf.pos })
+                   order) )
+      end
+    | _ -> ());
+    incr j
+  done;
+  !result
 
 (* ------------------------------------------------------------------ *)
 (* Per-function driver                                                  *)
 
-let optimize_func ~emit ~is_entry counters (f : Func.t) : Func.t =
-  let rec rounds n f =
-    if n = 0 then f
-    else begin
-      let changed = ref false in
-      let qdf = Qdf.of_func f in
-      let f =
-        match rewrite_thresholds qdf ~is_entry f with
-        | None -> f
-        | Some thr ->
-          let blocks =
-            List.map
-              (fun (b : Block.t) ->
-                let mp = thr b.Block.label in
-                if mp = max_int then b
-                else
-                  match
-                    scan_block qdf ~fname:f.Func.name ~min_pos:mp ~emit
-                      counters b
-                  with
-                  | Some b' ->
-                    changed := true;
-                    b'
-                  | None -> b)
-              f.Func.blocks
-          in
-          Func.replace_blocks f blocks
-      in
-      let qdf = Qdf.of_func f in
-      let uses = use_counts f in
-      let blocks =
-        List.map
-          (fun (b : Block.t) ->
-            match
-              hoist_block qdf ~fname:f.Func.name ~uses ~emit counters b
-            with
-            | Some b' ->
-              changed := true;
-              b'
-            | None -> b)
-          f.Func.blocks
-      in
-      let f = Func.replace_blocks f blocks in
-      if !changed then rounds (n - 1) f else f
-    end
+(* Apply [rewrite] to every block, keeping the view current: a rewritten
+   block brings its new event array. [None] when no block changed. The
+   view's value facts stay valid as they are: removed gates are void
+   calls that define no SSA value, merged angles are constants, and a
+   hoist never crosses a store or an event touching the moved release,
+   so every fact stays keyed to an unchanged SSA id. *)
+let rewrite_view (qdf : Qdf.t) rewrite : Qdf.t option =
+  let changed = ref false in
+  let pairs =
+    List.map2
+      (fun (b : Block.t) ((label, evs) as be) ->
+        match rewrite b evs with
+        | Some (b', evs') ->
+          changed := true;
+          (b', (label, evs'))
+        | None -> (b, be))
+      qdf.Qdf.func.Func.blocks qdf.Qdf.events
   in
-  if Func.is_declaration f then f else rounds 8 f
+  if not !changed then None
+  else
+    let blocks, events = List.split pairs in
+    Some
+      { qdf with Qdf.func = Func.replace_blocks qdf.Qdf.func blocks; events }
+
+(* One round: cancellation and merging, then release hoisting. Returns
+   the view of the rewritten function and whether anything changed. *)
+let round ~emit ~is_entry counters (qdf : Qdf.t) : Qdf.t * bool =
+  let fname = qdf.Qdf.func.Func.name in
+  let scanned =
+    match rewrite_thresholds qdf ~is_entry with
+    | None -> None
+    | Some thr ->
+      rewrite_view qdf (fun b evs ->
+          let min_pos = thr b.Block.label in
+          if min_pos = max_int then None
+          else scan_block qdf ~fname ~min_pos ~emit counters b evs)
+  in
+  let qdf = Option.value scanned ~default:qdf in
+  let uses = use_counts qdf.Qdf.func in
+  match rewrite_view qdf (hoist_block ~fname ~uses ~emit counters) with
+  | Some qdf -> (qdf, true)
+  | None -> (qdf, Option.is_some scanned)
+
+let calls_release (f : Func.t) =
+  Func.fold_instrs f false (fun acc (i : Instr.t) ->
+      acc
+      ||
+      match i.Instr.op with
+      | Instr.Call (_, c, _) ->
+        String.equal c Names.rt_qubit_release
+        || String.equal c Names.rt_qubit_release_array
+      | _ -> false)
+
+(* Rounds until nothing changes (at most 8) on one view, built once and
+   kept current. Returns the final function and its view. A declaration
+   gets no view, and neither does a function other than the entry that
+   releases nothing: only release hoisting applies there. *)
+let optimize_func ~emit ~is_entry counters (f : Func.t) : Func.t * Qdf.t option
+    =
+  let rec rounds n qdf =
+    if n = 0 then qdf
+    else
+      match round ~emit ~is_entry counters qdf with
+      | qdf, true -> rounds (n - 1) qdf
+      | qdf, false -> qdf
+  in
+  if Func.is_declaration f || ((not is_entry) && not (calls_release f)) then
+    (f, None)
+  else
+    let qdf = rounds 8 (Qdf.of_func f) in
+    (qdf.Qdf.func, Some qdf)
 
 (* ------------------------------------------------------------------ *)
 (* Static promotion                                                     *)
@@ -465,338 +507,363 @@ exception Refuse
 let max_static = 4096L
 let dynamic_base = 0x2000_0000L
 
-(* Lower a straight-line dynamic entry to static addressing by replaying
-   the runtime allocator's index assignment in program order; [None] if
-   anything is unprovable. The rewritten module addresses exactly the
-   sim qubits the dynamic one did, so every shot histogram is
-   bit-identical — and the result is gate-tape eligible. *)
-let promote (m : Ir_module.t) : (Ir_module.t * int) option =
-  match Ir_module.entry_point m with
-  | None -> None
-  | Some entry when Func.is_declaration entry || entry.Func.params <> [] ->
-    None
-  | Some entry ->
-    let dynamic =
-      Func.fold_instrs entry false (fun acc (i : Instr.t) ->
-          acc
-          ||
-          match i.Instr.op with
-          | Instr.Alloca _ | Instr.Load _ | Instr.Store _ -> true
-          | Instr.Call (_, c, _) ->
-            String.equal c Names.rt_qubit_allocate
-            || String.equal c Names.rt_qubit_allocate_array
-            || String.equal c Names.rt_array_create_1d
-            || String.equal c Names.rt_array_get_element_ptr_1d
-          | _ -> false)
+(* Does [f] address qubits or results dynamically: through stack slots,
+   allocation calls or array elements? *)
+let is_dynamic (f : Func.t) =
+  Func.fold_instrs f false (fun acc (i : Instr.t) ->
+      acc
+      ||
+      match i.Instr.op with
+      | Instr.Alloca _ | Instr.Load _ | Instr.Store _ -> true
+      | Instr.Call (_, c, _) ->
+        String.equal c Names.rt_qubit_allocate
+        || String.equal c Names.rt_qubit_allocate_array
+        || String.equal c Names.rt_array_create_1d
+        || String.equal c Names.rt_array_get_element_ptr_1d
+      | _ -> false)
+
+(* Does [f] call a function [m] defines? *)
+let calls_defined (m : Ir_module.t) (f : Func.t) =
+  Func.fold_instrs f false (fun acc (i : Instr.t) ->
+      acc
+      ||
+      match i.Instr.op with
+      | Instr.Call (_, c, _) when not (Names.is_quantum c) ->
+        List.exists
+          (fun (g : Func.t) ->
+            String.equal g.Func.name c && not (Func.is_declaration g))
+          m.Ir_module.funcs
+      | _ -> false)
+
+(* Does [m] have a lifetime error? [entry] calls no defined function,
+   so summaries are consulted only when [m] defines other functions;
+   otherwise the entry's own check is the whole module's. *)
+let lifetime_errors (m : Ir_module.t) (entry : Func.t) =
+  let only_entry =
+    List.for_all
+      (fun (g : Func.t) ->
+        Func.is_declaration g || String.equal g.Func.name entry.Func.name)
+      m.Ir_module.funcs
+  in
+  List.exists
+    (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
+    (if only_entry then Lifetime.check_func ~is_entry:true entry
+     else Lifetime.check_module ~summaries:(Summary.of_module m) m)
+
+(* Lower [m]'s straight-line dynamic entry ([qdf] is its view, [chain]
+   its blocks) to static addressing by replaying the runtime allocator's
+   index assignment in program order; [None] if anything is unprovable.
+   The rewritten module addresses exactly the sim qubits the dynamic one
+   did, so every shot histogram is bit-identical — and the result is
+   gate-tape eligible. *)
+let lower (m : Ir_module.t) (qdf : Qdf.t) (chain : Block.t list) :
+    (Ir_module.t * int) option =
+  let entry = qdf.Qdf.func in
+  try
+    let vt = qdf.Qdf.vt and facts = qdf.Qdf.facts in
+    let syn_addr (o : Operand.t) =
+      match o with
+      | Operand.Const Constant.Null -> Some 0L
+      | Operand.Const (Constant.Inttoptr a) -> Some a
+      | Operand.Const _ -> None
+      | Operand.Local _ -> (
+        match Const_addr.proved_address facts o with
+        | Some Constant.Null -> Some 0L
+        | Some (Constant.Inttoptr a) -> Some a
+        | _ -> None)
     in
-    if not dynamic then None
-    else (
-      try
-        let cg = Call_graph.build m in
-        if Call_graph.callees cg entry.Func.name <> [] then raise Refuse;
-        if Call_graph.is_recursive cg entry.Func.name then raise Refuse;
-        if
-          List.exists
-            (fun (d : Diagnostic.t) ->
-              d.Diagnostic.severity = Diagnostic.Error)
-            (Lifetime.check_module
-               ~summaries:(Summary.of_module ~call_graph:cg m)
-               m)
-        then raise Refuse;
-        let chain =
-          match straight_chain entry with
-          | Some c -> c
-          | None -> raise Refuse
+    (* static result addresses already in use: dynamic result
+       elements are numbered above them *)
+    let max_rstatic = ref (-1L) in
+    Func.iter_instrs entry (fun (i : Instr.t) ->
+        match i.Instr.op with
+        | Instr.Call (_, callee, args) -> (
+          match Signatures.find callee with
+          | Some s when List.length s.Signatures.args = List.length args
+            ->
+            List.iter2
+              (fun k (a : Operand.typed) ->
+                match k with
+                | Signatures.Result -> (
+                  match syn_addr a.Operand.v with
+                  | Some r when r > !max_rstatic -> max_rstatic := r
+                  | Some _ -> ()
+                  | None -> (
+                    match Value_track.result_of vt a.Operand.v with
+                    | Value_track.RStatic r when r > !max_rstatic ->
+                      max_rstatic := r
+                    | _ -> ()))
+                | _ -> ())
+              s.Signatures.args args
+          | _ -> ())
+        | _ -> ());
+    let size = ref 0L in
+    let next_result = ref (Int64.add !max_rstatic 1L) in
+    let qbase = Hashtbl.create 8
+    and qcount = Hashtbl.create 8
+    and rbase = Hashtbl.create 8
+    and rcount = Hashtbl.create 8 in
+    let deleted = Hashtbl.create 32 in
+    let rewrites = ref 0 in
+    let grow upto =
+      if upto > max_static then raise Refuse;
+      if upto > !size then size := upto
+    in
+    let site_of (i : Instr.t) =
+      match i.Instr.id with
+      | Some id -> (
+        match Hashtbl.find_opt vt.Value_track.site_of_def id with
+        | Some s -> (id, s)
+        | None -> raise Refuse)
+      | None -> raise Refuse
+    in
+    let resolve_int (o : Operand.t) =
+      match o with
+      | Operand.Const (Constant.Int a) -> Some a
+      | Operand.Local id -> (
+        match Const_addr.const_of facts id with
+        | Some (Constant.Int a) -> Some a
+        | _ -> None)
+      | _ -> None
+    in
+    let static_qubit a =
+      if a < 0L || a >= dynamic_base then raise Refuse;
+      if a >= max_static then raise Refuse;
+      grow (Int64.add a 1L);
+      a
+    in
+    let qubit_addr (o : Operand.t) =
+      match syn_addr o with
+      | Some a -> static_qubit a
+      | None -> (
+        match Value_track.qubit_of vt o with
+        | Value_track.Static a -> static_qubit a
+        | Value_track.Alloc s -> (
+          match Hashtbl.find_opt qbase s with
+          | Some b -> b
+          | None -> raise Refuse)
+        | Value_track.Elem (s, i) -> (
+          match Hashtbl.find_opt qbase s, Hashtbl.find_opt qcount s with
+          | Some b, Some c when i >= 0L && i < c -> Int64.add b i
+          | _ -> raise Refuse)
+        | Value_track.QParam _ | Value_track.QUnknown -> raise Refuse)
+    in
+    let result_addr (o : Operand.t) =
+      match syn_addr o with
+      | Some a ->
+        if a < 0L then raise Refuse;
+        a
+      | None -> (
+        match Value_track.result_of vt o with
+        | Value_track.RStatic a ->
+          if a < 0L || a >= dynamic_base then raise Refuse;
+          a
+        | Value_track.RElem (s, i) -> (
+          match Hashtbl.find_opt rbase s, Hashtbl.find_opt rcount s with
+          | Some b, Some c when i >= 0L && i < c -> Int64.add b i
+          | _ -> raise Refuse)
+        | Value_track.RMeas _ | Value_track.RParam _
+        | Value_track.RUnknown ->
+          raise Refuse)
+    in
+    let promote_instr (i : Instr.t) : Instr.t option =
+      match i.Instr.op with
+      | Instr.Call (_, c, _) when String.equal c Names.rt_qubit_allocate
+        ->
+        let id, s = site_of i in
+        Hashtbl.replace qbase s !size;
+        grow (Int64.add !size 1L);
+        Hashtbl.replace deleted id ();
+        incr rewrites;
+        None
+      | Instr.Call (_, c, args)
+        when String.equal c Names.rt_qubit_allocate_array ->
+        let id, s = site_of i in
+        let count =
+          match args with
+          | [ a ] -> (
+            match resolve_int a.Operand.v with
+            | Some a when a >= 0L -> a
+            | _ -> raise Refuse)
+          | _ -> raise Refuse
         in
-        let vt = Value_track.of_func entry in
-        let facts = Const_addr.analyze entry in
-        let syn_addr (o : Operand.t) =
-          match o with
-          | Operand.Const Constant.Null -> Some 0L
-          | Operand.Const (Constant.Inttoptr a) -> Some a
-          | Operand.Const _ -> None
-          | Operand.Local _ -> (
-            match Const_addr.proved_address facts o with
-            | Some Constant.Null -> Some 0L
-            | Some (Constant.Inttoptr a) -> Some a
-            | _ -> None)
+        Hashtbl.replace qbase s !size;
+        Hashtbl.replace qcount s count;
+        grow (Int64.add !size count);
+        Hashtbl.replace deleted id ();
+        incr rewrites;
+        None
+      | Instr.Call (_, c, args)
+        when String.equal c Names.rt_array_create_1d ->
+        let id, s = site_of i in
+        let count =
+          match args with
+          | [ _; a ] -> (
+            match resolve_int a.Operand.v with
+            | Some a when a >= 0L -> a
+            | _ -> raise Refuse)
+          | _ -> raise Refuse
         in
-        (* static result addresses already in use: dynamic result
-           elements are numbered above them *)
-        let max_rstatic = ref (-1L) in
-        Func.iter_instrs entry (fun (i : Instr.t) ->
-            match i.Instr.op with
-            | Instr.Call (_, callee, args) -> (
-              match Signatures.find callee with
-              | Some s when List.length s.Signatures.args = List.length args
-                ->
-                List.iter2
-                  (fun k (a : Operand.typed) ->
-                    match k with
-                    | Signatures.Result -> (
-                      match syn_addr a.Operand.v with
-                      | Some r when r > !max_rstatic -> max_rstatic := r
-                      | Some _ -> ()
-                      | None -> (
-                        match Value_track.result_of vt a.Operand.v with
-                        | Value_track.RStatic r when r > !max_rstatic ->
-                          max_rstatic := r
-                        | _ -> ()))
-                    | _ -> ())
-                  s.Signatures.args args
-              | _ -> ())
-            | _ -> ());
-        let size = ref 0L in
-        let next_result = ref (Int64.add !max_rstatic 1L) in
-        let qbase = Hashtbl.create 8
-        and qcount = Hashtbl.create 8
-        and rbase = Hashtbl.create 8
-        and rcount = Hashtbl.create 8 in
-        let deleted = Hashtbl.create 32 in
-        let rewrites = ref 0 in
-        let grow upto =
-          if upto > max_static then raise Refuse;
-          if upto > !size then size := upto
-        in
-        let site_of (i : Instr.t) =
+        Hashtbl.replace rbase s !next_result;
+        Hashtbl.replace rcount s count;
+        next_result := Int64.add !next_result count;
+        Hashtbl.replace deleted id ();
+        incr rewrites;
+        None
+      | Instr.Call (_, c, _)
+        when String.equal c Names.rt_array_get_element_ptr_1d ->
+        (match i.Instr.id with
+        | Some id -> Hashtbl.replace deleted id ()
+        | None -> ());
+        incr rewrites;
+        None
+      | Instr.Call (_, c, _)
+        when String.equal c Names.rt_qubit_release
+             || String.equal c Names.rt_qubit_release_array ->
+        incr rewrites;
+        None
+      | Instr.Call (_, c, args)
+        when String.equal c Names.rt_array_update_reference_count
+             || String.equal c Names.rt_result_update_reference_count
+        -> (
+        (* bookkeeping on a tracked array: drop with its array *)
+        match args with
+        | a :: _ -> (
+          match a.Operand.v with
+          | Operand.Local id when Hashtbl.mem deleted id ->
+            incr rewrites;
+            None
+          | _ -> Some i)
+        | [] -> Some i)
+      | Instr.Call (rty, callee, args) when Names.is_quantum callee -> (
+        match Signatures.find callee with
+        | Some s when List.length s.Signatures.args = List.length args
+          ->
+          let args' =
+            List.map2
+              (fun k (a : Operand.typed) ->
+                match k with
+                | Signatures.Qubit ->
+                  let a' = Operand.qubit_ptr (qubit_addr a.Operand.v) in
+                  if not (Operand.equal_typed a a') then incr rewrites;
+                  a'
+                | Signatures.Result ->
+                  let a' = Operand.qubit_ptr (result_addr a.Operand.v) in
+                  if not (Operand.equal_typed a a') then incr rewrites;
+                  a'
+                | Signatures.Double_arg | Signatures.Int_arg _
+                | Signatures.Ptr_arg ->
+                  a)
+              s.Signatures.args args
+          in
+          Some (Instr.mk ?id:i.Instr.id (Instr.Call (rty, callee, args')))
+        | _ -> raise Refuse)
+      | Instr.Call _ -> raise Refuse
+      | Instr.Alloca _ -> (
+        match i.Instr.id with
+        | Some id -> (
+          match Hashtbl.find_opt vt.Value_track.slots id with
+          | Some
+              ( Value_track.VQArray _ | Value_track.VRArray _
+              | Value_track.VQubit _ | Value_track.VResult _ ) ->
+            Hashtbl.replace deleted id ();
+            incr rewrites;
+            None
+          | _ -> Some i)
+        | None -> Some i)
+      | Instr.Load (_, p) -> (
+        let quantum_value =
           match i.Instr.id with
           | Some id -> (
-            match Hashtbl.find_opt vt.Value_track.site_of_def id with
-            | Some s -> (id, s)
-            | None -> raise Refuse)
-          | None -> raise Refuse
+            match Hashtbl.find_opt vt.Value_track.env id with
+            | Some
+                ( Value_track.VQArray _ | Value_track.VRArray _
+                | Value_track.VQubit _ | Value_track.VResult _ ) ->
+              true
+            | _ -> false)
+          | None -> false
         in
-        let resolve_int (o : Operand.t) =
-          match o with
-          | Operand.Const (Constant.Int a) -> Some a
-          | Operand.Local id -> (
-            match Const_addr.const_of facts id with
-            | Some (Constant.Int a) -> Some a
-            | _ -> None)
-          | _ -> None
-        in
-        let static_qubit a =
-          if a < 0L || a >= dynamic_base then raise Refuse;
-          if a >= max_static then raise Refuse;
-          grow (Int64.add a 1L);
-          a
-        in
-        let qubit_addr (o : Operand.t) =
-          match syn_addr o with
-          | Some a -> static_qubit a
-          | None -> (
-            match Value_track.qubit_of vt o with
-            | Value_track.Static a -> static_qubit a
-            | Value_track.Alloc s -> (
-              match Hashtbl.find_opt qbase s with
-              | Some b -> b
-              | None -> raise Refuse)
-            | Value_track.Elem (s, i) -> (
-              match Hashtbl.find_opt qbase s, Hashtbl.find_opt qcount s with
-              | Some b, Some c when i >= 0L && i < c -> Int64.add b i
-              | _ -> raise Refuse)
-            | Value_track.QParam _ | Value_track.QUnknown -> raise Refuse)
-        in
-        let result_addr (o : Operand.t) =
-          match syn_addr o with
-          | Some a ->
-            if a < 0L then raise Refuse;
-            a
-          | None -> (
-            match Value_track.result_of vt o with
-            | Value_track.RStatic a ->
-              if a < 0L || a >= dynamic_base then raise Refuse;
-              a
-            | Value_track.RElem (s, i) -> (
-              match Hashtbl.find_opt rbase s, Hashtbl.find_opt rcount s with
-              | Some b, Some c when i >= 0L && i < c -> Int64.add b i
-              | _ -> raise Refuse)
-            | Value_track.RMeas _ | Value_track.RParam _
-            | Value_track.RUnknown ->
-              raise Refuse)
-        in
-        let promote_instr (i : Instr.t) : Instr.t option =
-          match i.Instr.op with
-          | Instr.Call (_, c, _) when String.equal c Names.rt_qubit_allocate
-            ->
-            let id, s = site_of i in
-            Hashtbl.replace qbase s !size;
-            grow (Int64.add !size 1L);
-            Hashtbl.replace deleted id ();
-            incr rewrites;
-            None
-          | Instr.Call (_, c, args)
-            when String.equal c Names.rt_qubit_allocate_array ->
-            let id, s = site_of i in
-            let count =
-              match args with
-              | [ a ] -> (
-                match resolve_int a.Operand.v with
-                | Some a when a >= 0L -> a
-                | _ -> raise Refuse)
-              | _ -> raise Refuse
-            in
-            Hashtbl.replace qbase s !size;
-            Hashtbl.replace qcount s count;
-            grow (Int64.add !size count);
-            Hashtbl.replace deleted id ();
-            incr rewrites;
-            None
-          | Instr.Call (_, c, args)
-            when String.equal c Names.rt_array_create_1d ->
-            let id, s = site_of i in
-            let count =
-              match args with
-              | [ _; a ] -> (
-                match resolve_int a.Operand.v with
-                | Some a when a >= 0L -> a
-                | _ -> raise Refuse)
-              | _ -> raise Refuse
-            in
-            Hashtbl.replace rbase s !next_result;
-            Hashtbl.replace rcount s count;
-            next_result := Int64.add !next_result count;
-            Hashtbl.replace deleted id ();
-            incr rewrites;
-            None
-          | Instr.Call (_, c, _)
-            when String.equal c Names.rt_array_get_element_ptr_1d ->
-            (match i.Instr.id with
-            | Some id -> Hashtbl.replace deleted id ()
-            | None -> ());
-            incr rewrites;
-            None
-          | Instr.Call (_, c, _)
-            when String.equal c Names.rt_qubit_release
-                 || String.equal c Names.rt_qubit_release_array ->
-            incr rewrites;
-            None
-          | Instr.Call (_, c, args)
-            when String.equal c Names.rt_array_update_reference_count
-                 || String.equal c Names.rt_result_update_reference_count
-            -> (
-            (* bookkeeping on a tracked array: drop with its array *)
-            match args with
-            | a :: _ -> (
-              match a.Operand.v with
-              | Operand.Local id when Hashtbl.mem deleted id ->
-                incr rewrites;
-                None
-              | _ -> Some i)
-            | [] -> Some i)
-          | Instr.Call (rty, callee, args) when Names.is_quantum callee -> (
-            match Signatures.find callee with
-            | Some s when List.length s.Signatures.args = List.length args
-              ->
-              let args' =
-                List.map2
-                  (fun k (a : Operand.typed) ->
-                    match k with
-                    | Signatures.Qubit ->
-                      let a' = Operand.qubit_ptr (qubit_addr a.Operand.v) in
-                      if not (Operand.equal_typed a a') then incr rewrites;
-                      a'
-                    | Signatures.Result ->
-                      let a' = Operand.qubit_ptr (result_addr a.Operand.v) in
-                      if not (Operand.equal_typed a a') then incr rewrites;
-                      a'
-                    | Signatures.Double_arg | Signatures.Int_arg _
-                    | Signatures.Ptr_arg ->
-                      a)
-                  s.Signatures.args args
-              in
-              Some (Instr.mk ?id:i.Instr.id (Instr.Call (rty, callee, args')))
-            | _ -> raise Refuse)
-          | Instr.Call _ -> raise Refuse
-          | Instr.Alloca _ -> (
-            match i.Instr.id with
-            | Some id -> (
-              match Hashtbl.find_opt vt.Value_track.slots id with
-              | Some
-                  ( Value_track.VQArray _ | Value_track.VRArray _
-                  | Value_track.VQubit _ | Value_track.VResult _ ) ->
-                Hashtbl.replace deleted id ();
-                incr rewrites;
-                None
-              | _ -> Some i)
-            | None -> Some i)
-          | Instr.Load (_, p) -> (
-            let quantum_value =
-              match i.Instr.id with
-              | Some id -> (
-                match Hashtbl.find_opt vt.Value_track.env id with
-                | Some
-                    ( Value_track.VQArray _ | Value_track.VRArray _
-                    | Value_track.VQubit _ | Value_track.VResult _ ) ->
-                  true
-                | _ -> false)
-              | None -> false
-            in
-            if quantum_value then begin
-              (match i.Instr.id with
-              | Some id -> Hashtbl.replace deleted id ()
-              | None -> ());
-              incr rewrites;
-              None
-            end
-            else
-              match p with
-              | Operand.Local pid when Hashtbl.mem deleted pid ->
-                raise Refuse
-              | _ -> Some i)
-          | Instr.Store (_, p) -> (
-            match p with
-            | Operand.Local pid when Hashtbl.mem deleted pid ->
-              incr rewrites;
-              None
-            | _ -> Some i)
-          | Instr.Gep _ | Instr.Phi _ -> raise Refuse
-          | _ -> Some i
-        in
-        let rebuilt = Hashtbl.create 8 in
+        if quantum_value then begin
+          (match i.Instr.id with
+          | Some id -> Hashtbl.replace deleted id ()
+          | None -> ());
+          incr rewrites;
+          None
+        end
+        else
+          match p with
+          | Operand.Local pid when Hashtbl.mem deleted pid ->
+            raise Refuse
+          | _ -> Some i)
+      | Instr.Store (_, p) -> (
+        match p with
+        | Operand.Local pid when Hashtbl.mem deleted pid ->
+          incr rewrites;
+          None
+        | _ -> Some i)
+      | Instr.Gep _ | Instr.Phi _ -> raise Refuse
+      | _ -> Some i
+    in
+    let rebuilt = Hashtbl.create 8 in
+    List.iter
+      (fun (b : Block.t) ->
+        let instrs = List.filter_map promote_instr b.Block.instrs in
+        Hashtbl.replace rebuilt b.Block.label
+          (Block.mk b.Block.label instrs b.Block.term))
+      chain;
+    let blocks =
+      List.map
+        (fun (b : Block.t) ->
+          match Hashtbl.find_opt rebuilt b.Block.label with
+          | Some b' -> b'
+          | None -> b)
+        entry.Func.blocks
+    in
+    let entry' = Func.replace_blocks entry blocks in
+    (* proof-carrying guard: no surviving use of a deleted def *)
+    let check_op (o : Operand.t) =
+      match o with
+      | Operand.Local id when Hashtbl.mem deleted id -> raise Refuse
+      | _ -> ()
+    in
+    List.iter
+      (fun (b : Block.t) ->
         List.iter
-          (fun (b : Block.t) ->
-            let instrs = List.filter_map promote_instr b.Block.instrs in
-            Hashtbl.replace rebuilt b.Block.label
-              (Block.mk b.Block.label instrs b.Block.term))
-          chain;
-        let blocks =
-          List.map
-            (fun (b : Block.t) ->
-              match Hashtbl.find_opt rebuilt b.Block.label with
-              | Some b' -> b'
-              | None -> b)
-            entry.Func.blocks
-        in
-        let entry' = Func.replace_blocks entry blocks in
-        (* proof-carrying guard: no surviving use of a deleted def *)
-        let check_op (o : Operand.t) =
-          match o with
-          | Operand.Local id when Hashtbl.mem deleted id -> raise Refuse
-          | _ -> ()
-        in
-        List.iter
-          (fun (b : Block.t) ->
-            List.iter
-              (fun (i : Instr.t) ->
-                List.iter
-                  (fun (o : Operand.typed) -> check_op o.Operand.v)
-                  (Instr.operands i.Instr.op))
-              b.Block.instrs;
+          (fun (i : Instr.t) ->
             List.iter
               (fun (o : Operand.typed) -> check_op o.Operand.v)
-              (Instr.term_operands b.Block.term))
-          entry'.Func.blocks;
-        if !rewrites = 0 then None
-        else Some (Ir_module.replace_func m entry', !rewrites)
-      with Refuse -> None)
+              (Instr.operands i.Instr.op))
+          b.Block.instrs;
+        List.iter
+          (fun (o : Operand.typed) -> check_op o.Operand.v)
+          (Instr.term_operands b.Block.term))
+      entry'.Func.blocks;
+    if !rewrites = 0 then None
+    else Some (Ir_module.replace_func m entry', !rewrites)
+  with Refuse -> None
+
+(* Promote [m]'s entry, whose final view is [qdf]. The refusals run
+   cheapest first: the entry's shape, calls into defined functions
+   (which also rules out recursion), and only then the lifetime check. *)
+let promote (m : Ir_module.t) (qdf : Qdf.t) : (Ir_module.t * int) option =
+  let entry = qdf.Qdf.func in
+  if entry.Func.params <> [] || not (is_dynamic entry) then None
+  else
+    match straight_chain entry with
+    | None -> None
+    | Some chain ->
+      if calls_defined m entry || lifetime_errors m entry then None
+      else lower m qdf chain
 
 (* ------------------------------------------------------------------ *)
 (* Module pass                                                          *)
 
 let null_emit (_ : Diagnostic.t) = ()
 
-let optimize (m : Ir_module.t) : Ir_module.t * stats =
+(* The optimizer run behind both [optimize] and the lint's QO notes:
+   [emit] receives a note for every rewrite it makes, and QO004 exactly
+   when it promotes the entry. *)
+let run ~emit (m : Ir_module.t) : Ir_module.t * stats =
   let gates_before = gate_count m in
   let counters = { cancelled = 0; merged = 0; hoisted = 0 } in
   let entry_name =
@@ -804,14 +871,32 @@ let optimize (m : Ir_module.t) : Ir_module.t * stats =
     | Some f -> Some f.Func.name
     | None -> None
   in
+  let entry_view = ref None in
   let m =
     Ir_module.map_funcs m (fun f ->
-        optimize_func ~emit:null_emit
-          ~is_entry:(entry_name = Some f.Func.name)
-          counters f)
+        let is_entry = entry_name = Some f.Func.name in
+        let f, qdf = optimize_func ~emit ~is_entry counters f in
+        if is_entry && Option.is_some qdf then entry_view := qdf;
+        f)
   in
   let m, promoted =
-    match promote m with Some (m', np) -> (m', np) | None -> (m, 0)
+    match !entry_view with
+    | None -> (m, 0)
+    | Some qdf -> (
+      match promote m qdf with
+      | None -> (m, 0)
+      | Some (m', np) ->
+        let entry = qdf.Qdf.func in
+        let where =
+          Printf.sprintf "@%s %%%s" entry.Func.name
+            (Func.entry entry).Block.label
+        in
+        emit
+          (Diagnostic.make ~rule:"QO004" ~severity:Diagnostic.Note ~where
+             "entry point provably lowers to static addressing (%d dynamic \
+              operand(s)/instruction(s) rewritten)"
+             np);
+        (m', np))
   in
   let m = Signatures.add_missing_declarations m in
   ( m,
@@ -824,35 +909,12 @@ let optimize (m : Ir_module.t) : Ir_module.t * stats =
       s_gates_after = gate_count m;
     } )
 
-(* Lint integration: the same machinery in dry-run, emitting QO notes. *)
+let optimize (m : Ir_module.t) : Ir_module.t * stats = run ~emit:null_emit m
+
+(* Lint integration: the optimizer's own notes, in rewrite order. *)
 let notes (m : Ir_module.t) : Diagnostic.t list =
   let acc = ref [] in
-  let emit d = acc := d :: !acc in
-  let counters = { cancelled = 0; merged = 0; hoisted = 0 } in
-  let entry_name =
-    match Ir_module.entry_point m with
-    | Some f -> Some f.Func.name
-    | None -> None
-  in
-  ignore
-    (Ir_module.map_funcs m (fun f ->
-         optimize_func ~emit ~is_entry:(entry_name = Some f.Func.name)
-           counters f));
-  (match promote m with
-  | Some (_, np) -> (
-    match Ir_module.entry_point m with
-    | Some entry when not (Func.is_declaration entry) ->
-      let where =
-        Printf.sprintf "@%s %%%s" entry.Func.name
-          (Func.entry entry).Block.label
-      in
-      emit
-        (Diagnostic.make ~rule:"QO004" ~severity:Diagnostic.Note ~where
-           "entry point provably lowers to static addressing (%d dynamic \
-            operand(s)/instruction(s) rewritten)"
-           np)
-    | _ -> ())
-  | None -> ());
+  ignore (run ~emit:(fun d -> acc := d :: !acc) m);
   List.rev !acc
 
 let mrun (m : Ir_module.t) =

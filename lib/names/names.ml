@@ -35,8 +35,14 @@ let qis_mz = qis "mz"
 let qis_m = qis "m"
 let qis_reset = qis "reset"
 
-let is_qis name = String.length name > 16 && String.sub name 0 16 = qis_prefix
-let is_rt name = String.length name > 15 && String.sub name 0 15 = rt_prefix
+(* Allocation-free: these run on every call instruction of every
+   analysis. *)
+let is_qis name =
+  String.length name > 16 && String.starts_with ~prefix:qis_prefix name
+
+let is_rt name =
+  String.length name > 15 && String.starts_with ~prefix:rt_prefix name
+
 let is_quantum name = is_qis name || is_rt name
 
 (* ------------------------------------------------------------------ *)
@@ -67,21 +73,27 @@ let qis_of_gate (g : Gate.t) : (string * float list) option =
   | Gate.Cry _ | Gate.Crz _ | Gate.Cp _ | Gate.Cu _ | Gate.Cswap ->
     None
 
-(* Inverse mapping for the parser; accepts both our spellings and common
-   alternates (cnot/cx, ccx/ccnot/toffoli). *)
+(* Every QIS operation [gate_of_qis] accepts, our spellings and the
+   common alternates (cnot/cx, ccx/ccnot/toffoli). *)
+let qis_gate_ops =
+  [ "h"; "x"; "y"; "z"; "s"; "t"; "sx"; "rx"; "ry"; "rz"; "cnot"; "cx"; "cy";
+    "cz"; "swap"; "ccx"; "ccnot"; "toffoli" ]
+
+(* Symbol -> (operation, adjoint), both suffixes of every operation.
+   Built once at module initialization and never mutated, so lookups
+   are safe from any Domain. Any other symbol names no gate. *)
+let qis_gate_base : (string, string * bool) Hashtbl.t =
+  let h = Hashtbl.create 64 in
+  List.iter
+    (fun op ->
+      Hashtbl.replace h (qis op) (op, false);
+      Hashtbl.replace h (qis_adj op) (op, true))
+    qis_gate_ops;
+  h
+
+(* Inverse mapping for the parser. *)
 let gate_of_qis name (params : float list) : Gate.t option =
-  let base =
-    if is_qis name then
-      let rest = String.sub name 16 (String.length name - 16) in
-      match String.rindex_opt rest '_' with
-      | Some _ when Filename.check_suffix rest "__body" ->
-        Some (String.sub rest 0 (String.length rest - 6), false)
-      | Some _ when Filename.check_suffix rest "__adj" ->
-        Some (String.sub rest 0 (String.length rest - 5), true)
-      | _ -> None
-    else None
-  in
-  match base with
+  match Hashtbl.find_opt qis_gate_base name with
   | None -> None
   | Some (op, adj) -> (
     let g =

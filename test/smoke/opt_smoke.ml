@@ -12,7 +12,12 @@
       (dynamic builder output is ineligible until promotion proves it
       static);
    4. robustness — any exception anywhere in the pipeline is a failure;
-      there is no error taxonomy for an optimizer crash.
+      there is no error taxonomy for an optimizer crash;
+   5. lint agreement — the lint's QO004 note is there exactly when the
+      optimizer promotes the entry, and its count is the optimizer's
+      [s_promoted];
+   6. view invariant — after every optimizer round, the view it keeps
+      current equals a view rebuilt from the rewritten function.
 
    Used by CI:  dune exec test/smoke/opt_smoke.exe *)
 
@@ -52,6 +57,42 @@ let circuit ~redundant ~seed n =
   Circuit.Build.finish b
 
 let eligible m = Qruntime.Gate_tape.extract m <> None
+
+let qo004_counts m =
+  List.filter_map
+    (fun (d : Qir_analysis.Diagnostic.t) ->
+      if String.equal d.Qir_analysis.Diagnostic.rule "QO004" then
+        Some
+          (Scanf.sscanf d.Qir_analysis.Diagnostic.message
+             "entry point provably lowers to static addressing (%d" Fun.id)
+      else None)
+    (Qir_analysis.Lint.run m)
+
+(* The first function and round after which the maintained view differs
+   from a fresh one, if any. *)
+let stale_view (m : Llvm_ir.Ir_module.t) =
+  let open Qir_analysis in
+  let entry =
+    Option.map
+      (fun (f : Llvm_ir.Func.t) -> f.Llvm_ir.Func.name)
+      (Llvm_ir.Ir_module.entry_point m)
+  in
+  let counters = { Qdf_opt.cancelled = 0; merged = 0; hoisted = 0 } in
+  List.find_map
+    (fun (f : Llvm_ir.Func.t) ->
+      let is_entry = entry = Some f.Llvm_ir.Func.name in
+      let rec go n qdf =
+        let qdf, changed = Qdf_opt.round ~emit:ignore ~is_entry counters qdf in
+        let fresh = Qdf.of_func qdf.Qdf.func in
+        if
+          qdf.Qdf.events <> fresh.Qdf.events
+          || qdf.Qdf.qubit_alloc_sites <> fresh.Qdf.qubit_alloc_sites
+        then Some (Printf.sprintf "@%s round %d" f.Llvm_ir.Func.name n)
+        else if changed && n < 8 then go (n + 1) qdf
+        else None
+      in
+      go 1 (Qdf.of_func f))
+    (Llvm_ir.Ir_module.defined_funcs m)
 
 let run_histogram ~seed m =
   Qruntime.Executor.run_shots ~seed ~batch:false ~shots:48 m
@@ -94,7 +135,17 @@ let () =
               if e0 && not e1 then
                 fail "%s: optimizer lost gate-tape eligibility" tag;
               if run_histogram ~seed m <> run_histogram ~seed m' then
-                fail "%s: histogram not bit-identical" tag
+                fail "%s: histogram not bit-identical" tag;
+              (match qo004_counts m, st.s_promoted with
+              | [], 0 -> ()
+              | [ np ], promoted when np = promoted && promoted > 0 -> ()
+              | counts, promoted ->
+                fail "%s: QO004 counts [%s] but the optimizer rewrote %d" tag
+                  (String.concat "; " (List.map string_of_int counts))
+                  promoted);
+              match stale_view m with
+              | Some where -> fail "%s: stale optimizer view at %s" tag where
+              | None -> ()
             with e -> fail "%s: exception %s" tag (Printexc.to_string e))
           [ false; true ])
       [ `Static; `Dynamic ]

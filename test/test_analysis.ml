@@ -1074,14 +1074,14 @@ let test_qopt_promotion () =
 (* Differential property: on random circuits (with seeded redundancy
    injected so the rewrites actually fire) the optimizer must preserve
    the exact per-shot histogram in both addressing styles. *)
-let qopt_module ~addressing ~redundant ~seed n =
+let qopt_module ?(gates = 14) ?(salt = 77) ~addressing ~redundant ~seed n =
   let open Qcircuit in
-  let c = Generate.random ~seed ~parametric:true ~gates:14 n in
+  let c = Generate.random ~seed ~parametric:true ~gates n in
   let b =
     Circuit.Build.create ~num_qubits:c.Circuit.num_qubits
       ~num_clbits:c.Circuit.num_qubits ()
   in
-  let st = Random.State.make [| seed; 77 |] in
+  let st = Random.State.make [| seed; salt |] in
   List.iter
     (fun (op : Circuit.op) ->
       match op.Circuit.kind with
@@ -1114,6 +1114,451 @@ let qopt_props =
       QCheck2.Gen.(pair (int_range 0 100000) (int_range 2 5))
       prop;
   ]
+
+(* ------------------------------------------------------------------ *)
+(* Quantum-opt: the maintained view against the per-round rebuild       *)
+
+(* The round loop the maintained view replaced, kept as an oracle: every
+   round rebuilds the view from scratch before cancellation and again
+   before hoisting. *)
+let rebuild_optimize_func ~emit ~is_entry counters (f : Func.t) =
+  let fname = f.Func.name in
+  let events qdf (b : Block.t) =
+    Option.get (Qdf.block_events qdf b.Block.label)
+  in
+  let rec rounds n f =
+    if n = 0 then f
+    else begin
+      let changed = ref false in
+      let apply (f : Func.t) rewrite =
+        Func.replace_blocks f
+          (List.map
+             (fun b ->
+               match rewrite b with
+               | Some (b', _) ->
+                 changed := true;
+                 b'
+               | None -> b)
+             f.Func.blocks)
+      in
+      let qdf = Qdf.of_func f in
+      let f =
+        match Qdf_opt.rewrite_thresholds qdf ~is_entry with
+        | None -> f
+        | Some thr ->
+          apply f (fun b ->
+              let min_pos = thr b.Block.label in
+              if min_pos = max_int then None
+              else
+                Qdf_opt.scan_block qdf ~fname ~min_pos ~emit counters b
+                  (events qdf b))
+      in
+      let qdf = Qdf.of_func f in
+      let uses = Qdf_opt.use_counts f in
+      let f =
+        apply f (fun b ->
+            Qdf_opt.hoist_block ~fname ~uses ~emit counters b (events qdf b))
+      in
+      if !changed then rounds (n - 1) f else f
+    end
+  in
+  if Func.is_declaration f then f else rounds 8 f
+
+(* The promotion the oracle pairs with it: refusals through the call
+   graph and whole-module summaries, then lowering a fresh view. *)
+let oracle_promote (m : Ir_module.t) =
+  match Ir_module.entry_point m with
+  | Some entry
+    when (not (Func.is_declaration entry))
+         && entry.Func.params = [] && Qdf_opt.is_dynamic entry -> (
+    let cg = Call_graph.build m in
+    let name = entry.Func.name in
+    let lifetime_error =
+      List.exists
+        (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
+        (Lifetime.check_module
+           ~summaries:(Summary.of_module ~call_graph:cg m)
+           m)
+    in
+    if Call_graph.callees cg name <> [] || Call_graph.is_recursive cg name
+       || lifetime_error
+    then None
+    else
+      match Qdf_opt.straight_chain entry with
+      | Some chain -> Qdf_opt.lower m (Qdf.of_func entry) chain
+      | None -> None)
+  | _ -> None
+
+let qo004_count (d : Diagnostic.t) =
+  Scanf.sscanf d.Diagnostic.message
+    "entry point provably lowers to static addressing (%d" Fun.id
+
+let is_qo004 (d : Diagnostic.t) = String.equal d.Diagnostic.rule "QO004"
+
+(* The old optimizer and the old lint notes: the rewrites' notes, then
+   QO004 from promoting the module as given, before any rewrite. *)
+let oracle_optimize (m : Ir_module.t) =
+  let notes = ref [] in
+  let emit d = notes := d :: !notes in
+  let counters = { Qdf_opt.cancelled = 0; merged = 0; hoisted = 0 } in
+  let entry_name = Option.map (fun (f : Func.t) -> f.Func.name) (Ir_module.entry_point m) in
+  let m' =
+    Ir_module.map_funcs m (fun f ->
+        rebuild_optimize_func ~emit
+          ~is_entry:(entry_name = Some f.Func.name)
+          counters f)
+  in
+  let m', promoted =
+    match oracle_promote m' with Some (m'', np) -> (m'', np) | None -> (m', 0)
+  in
+  let m' = Signatures.add_missing_declarations m' in
+  let stats =
+    {
+      Qdf_opt.s_cancelled = counters.Qdf_opt.cancelled;
+      s_merged = counters.Qdf_opt.merged;
+      s_hoisted = counters.Qdf_opt.hoisted;
+      s_promoted = promoted;
+      s_gates_before = Qdf_opt.gate_count m;
+      s_gates_after = Qdf_opt.gate_count m';
+    }
+  in
+  let old_qo004 = Option.map snd (oracle_promote m) in
+  (m', stats, List.rev !notes, old_qo004)
+
+let print_module m = Format.asprintf "%a" Printer.pp_module m
+
+(* New and oracle agree on the printed module, the stats and every note
+   but QO004; QO004 is there exactly when the optimizer promotes, with
+   its count. Returns the first disagreement. *)
+let qopt_disagreement (m : Ir_module.t) =
+  let m_new, st_new = Qdf_opt.optimize m in
+  let notes_new = Qdf_opt.notes m in
+  let m_old, st_old, notes_old, _ = oracle_optimize m in
+  if not (String.equal (print_module m_new) (print_module m_old)) then
+    Some "printed module"
+  else if st_new <> st_old then Some "stats"
+  else if
+    List.filter (fun d -> not (is_qo004 d)) notes_new <> notes_old
+  then Some "notes"
+  else
+    match List.filter is_qo004 notes_new, st_new.Qdf_opt.s_promoted with
+    | [], 0 -> None
+    | [ d ], np when np > 0 && qo004_count d = np -> None
+    | _ -> Some "QO004"
+
+(* After every round of every defined function, the maintained view
+   equals a fresh view of the rewritten function. Returns the first
+   function and round where it does not. *)
+let view_invariant_violation (m : Ir_module.t) =
+  let entry_name = Option.map (fun (f : Func.t) -> f.Func.name) (Ir_module.entry_point m) in
+  let counters = { Qdf_opt.cancelled = 0; merged = 0; hoisted = 0 } in
+  List.find_map
+    (fun (f : Func.t) ->
+      let is_entry = entry_name = Some f.Func.name in
+      let rec go n qdf =
+        if n > 8 then None
+        else
+          let qdf, changed =
+            Qdf_opt.round ~emit:ignore ~is_entry counters qdf
+          in
+          let fresh = Qdf.of_func qdf.Qdf.func in
+          if
+            qdf.Qdf.events <> fresh.Qdf.events
+            || qdf.Qdf.qubit_alloc_sites <> fresh.Qdf.qubit_alloc_sites
+          then Some (Printf.sprintf "@%s round %d" f.Func.name n)
+          else if changed then go (n + 1) qdf
+          else None
+      in
+      go 1 (Qdf.of_func f))
+    (Ir_module.defined_funcs m)
+
+let check_qopt_against_oracle tag m =
+  (match view_invariant_violation m with
+  | Some where -> Alcotest.failf "%s: stale view at %s" tag where
+  | None -> ());
+  match qopt_disagreement m with
+  | Some what -> Alcotest.failf "%s: %s differs from the oracle" tag what
+  | None -> ()
+
+let styles = [ ("static", `Static); ("dynamic", `Dynamic) ]
+
+(* Hoists in the entry and in a helper, a load-then-release group that
+   moves as one unit, and a cancellable pair in the hoisting block. *)
+let hoisting_module () =
+  parse
+    (opt_prelude
+   ^ {|
+define void @helper() {
+entry:
+  %t = call ptr @__quantum__rt__qubit_allocate()
+  %u = call ptr @__quantum__rt__qubit_allocate()
+  call void @__quantum__qis__h__body(ptr %t)
+  call void @__quantum__qis__x__body(ptr %u)
+  call void @__quantum__qis__h__body(ptr %u)
+  call void @__quantum__rt__qubit_release(ptr %t)
+  call void @__quantum__rt__qubit_release(ptr %u)
+  ret void
+}
+
+define void @main() "entry_point" {
+entry:
+  %s = alloca ptr
+  %a = call ptr @__quantum__rt__qubit_allocate()
+  store ptr %a, ptr %s
+  %b = call ptr @__quantum__rt__qubit_allocate()
+  call void @__quantum__qis__h__body(ptr %a)
+  call void @__quantum__qis__x__body(ptr %b)
+  call void @__quantum__qis__x__body(ptr %b)
+  call void @__quantum__qis__h__body(ptr %b)
+  call void @__quantum__qis__mz__body(ptr %b, ptr null)
+  %l = load ptr, ptr %s
+  call void @__quantum__rt__qubit_release(ptr %l)
+  call void @__quantum__rt__qubit_release(ptr %b)
+  ret void
+}|})
+
+(* The E16 corpus (bench/main.ml), plus small random circuits and a
+   module where releases hoist. *)
+let test_qopt_view_matches_oracle () =
+  let m = hoisting_module () in
+  let _, st = Qdf_opt.optimize m in
+  check int_t "hoisting module hoists twice" 2 st.Qdf_opt.s_hoisted;
+  check_qopt_against_oracle "hoisting module" m;
+  List.iter
+    (fun (n, gates) ->
+      List.iter
+        (fun (style, addressing) ->
+          List.iter
+            (fun redundant ->
+              check_qopt_against_oracle
+                (Printf.sprintf "E16 %dq/%dg %s redundant=%b" n gates style
+                   redundant)
+                (qopt_module ~gates ~salt:91 ~addressing ~redundant
+                   ~seed:(n * 13) n))
+            [ false; true ])
+        styles)
+    [ (4, 60); (8, 200); (12, 400) ];
+  for seed = 1 to 12 do
+    List.iter
+      (fun (style, addressing) ->
+        List.iter
+          (fun redundant ->
+            check_qopt_against_oracle
+              (Printf.sprintf "seed %d %s redundant=%b" seed style redundant)
+              (qopt_module ~addressing ~redundant ~seed (2 + (seed mod 4))))
+          [ false; true ])
+      styles
+  done
+
+(* A cancellable pair ahead of promotion: the pair's two dynamic qubit
+   operands are gone before the entry is lowered, so the lint's QO004
+   count is what the optimizer rewrites, not what the unoptimized entry
+   would need. *)
+let test_qopt_qo004_counts_rewrites () =
+  let open Qcircuit in
+  let b = Circuit.Build.create ~num_qubits:2 ~num_clbits:2 () in
+  Circuit.Build.gate b Gate.H [ 0 ];
+  Circuit.Build.gate b Gate.X [ 1 ];
+  Circuit.Build.gate b Gate.X [ 1 ];
+  Circuit.Build.gate b Gate.Cx [ 0; 1 ];
+  Circuit.Build.measure b 0 0;
+  Circuit.Build.measure b 1 1;
+  let m =
+    Qir_builder.build ~addressing:`Dynamic (Circuit.Build.finish b)
+  in
+  let _, st = Qdf_opt.optimize m in
+  check bool_t "pair cancelled" true (st.Qdf_opt.s_cancelled > 0);
+  check bool_t "entry promoted" true (st.Qdf_opt.s_promoted > 0);
+  let qo004 = List.filter is_qo004 (Lint.run m) in
+  check int_t "one QO004" 1 (List.length qo004);
+  check int_t "QO004 count = rewrites made" st.Qdf_opt.s_promoted
+    (qo004_count (List.hd qo004));
+  let _, _, _, before_cancelling = oracle_optimize m in
+  check bool_t "promoting before cancelling counts more" true
+    (match before_cancelling with
+    | Some np -> np > st.Qdf_opt.s_promoted
+    | None -> false)
+
+let qopt_oracle_props =
+  [
+    QCheck2.Test.make ~count:40
+      ~name:"quantum-opt: maintained view equals the per-round rebuild"
+      QCheck2.Gen.(pair (int_range 0 100000) (int_range 2 5))
+      (fun (seed, n) ->
+        List.for_all
+          (fun (_, addressing) ->
+            List.for_all
+              (fun redundant ->
+                let m = qopt_module ~addressing ~redundant ~seed n in
+                view_invariant_violation m = None
+                && qopt_disagreement m = None)
+              [ false; true ])
+          styles);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* QIR name tables against the string-chain lookups they replaced       *)
+
+module Chain_names = struct
+  let is_qis name =
+    String.length name > 16 && String.sub name 0 16 = Names.qis_prefix
+
+  let is_rt name =
+    String.length name > 15 && String.sub name 0 15 = Names.rt_prefix
+
+  let gate_of_qis name (params : float list) : Qcircuit.Gate.t option =
+    let open Qcircuit in
+    let base =
+      if is_qis name then
+        let rest = String.sub name 16 (String.length name - 16) in
+        match String.rindex_opt rest '_' with
+        | Some _ when Filename.check_suffix rest "__body" ->
+          Some (String.sub rest 0 (String.length rest - 6), false)
+        | Some _ when Filename.check_suffix rest "__adj" ->
+          Some (String.sub rest 0 (String.length rest - 5), true)
+        | _ -> None
+      else None
+    in
+    match base with
+    | None -> None
+    | Some (op, adj) -> (
+      let g =
+        match op, params with
+        | "h", [] -> Some Gate.H
+        | "x", [] -> Some Gate.X
+        | "y", [] -> Some Gate.Y
+        | "z", [] -> Some Gate.Z
+        | "s", [] -> Some Gate.S
+        | "t", [] -> Some Gate.T
+        | "sx", [] -> Some Gate.Sx
+        | "rx", [ t ] -> Some (Gate.Rx t)
+        | "ry", [ t ] -> Some (Gate.Ry t)
+        | "rz", [ t ] -> Some (Gate.Rz t)
+        | ("cnot" | "cx"), [] -> Some Gate.Cx
+        | "cy", [] -> Some Gate.Cy
+        | "cz", [] -> Some Gate.Cz
+        | "swap", [] -> Some Gate.Swap
+        | ("ccx" | "ccnot" | "toffoli"), [] -> Some Gate.Ccx
+        | _ -> None
+      in
+      match g with
+      | Some g when adj -> Some (Gate.inverse g)
+      | g -> g)
+
+  let find name : Signatures.signature option =
+    let open Names in
+    let open Signatures in
+    let gate_sig ~doubles ~qubits =
+      {
+        ret = Ty.Void;
+        args =
+          List.init doubles (fun _ -> Double_arg)
+          @ List.init qubits (fun _ -> Qubit);
+      }
+    in
+    if String.equal name (qis "h") || String.equal name (qis "x")
+       || String.equal name (qis "y") || String.equal name (qis "z")
+       || String.equal name (qis "s") || String.equal name (qis "t")
+       || String.equal name (qis_adj "s") || String.equal name (qis_adj "t")
+       || String.equal name (qis "sx") || String.equal name (qis "reset")
+    then Some (gate_sig ~doubles:0 ~qubits:1)
+    else if String.equal name (qis "rx") || String.equal name (qis "ry")
+            || String.equal name (qis "rz")
+    then Some (gate_sig ~doubles:1 ~qubits:1)
+    else if String.equal name (qis "cnot") || String.equal name (qis "cz")
+            || String.equal name (qis "cy") || String.equal name (qis "swap")
+    then Some (gate_sig ~doubles:0 ~qubits:2)
+    else if String.equal name (qis "ccx") then
+      Some (gate_sig ~doubles:0 ~qubits:3)
+    else if String.equal name qis_mz then
+      Some { ret = Ty.Void; args = [ Qubit; Result ] }
+    else if String.equal name qis_m then Some { ret = Ty.Ptr; args = [ Qubit ] }
+    else if String.equal name rt_read_result then
+      Some { ret = Ty.I1; args = [ Result ] }
+    else if String.equal name rt_qubit_allocate then
+      Some { ret = Ty.Ptr; args = [] }
+    else if String.equal name rt_qubit_allocate_array then
+      Some { ret = Ty.Ptr; args = [ Int_arg Ty.I64 ] }
+    else if String.equal name rt_qubit_release then
+      Some { ret = Ty.Void; args = [ Qubit ] }
+    else if String.equal name rt_qubit_release_array then
+      Some { ret = Ty.Void; args = [ Ptr_arg ] }
+    else if String.equal name rt_array_create_1d then
+      Some { ret = Ty.Ptr; args = [ Int_arg Ty.I32; Int_arg Ty.I64 ] }
+    else if String.equal name rt_array_get_element_ptr_1d then
+      Some { ret = Ty.Ptr; args = [ Ptr_arg; Int_arg Ty.I64 ] }
+    else if String.equal name rt_array_get_size_1d then
+      Some { ret = Ty.I64; args = [ Ptr_arg ] }
+    else if String.equal name rt_array_update_reference_count
+            || String.equal name rt_result_update_reference_count
+    then Some { ret = Ty.Void; args = [ Ptr_arg; Int_arg Ty.I32 ] }
+    else if String.equal name rt_result_get_one
+            || String.equal name rt_result_get_zero
+    then Some { ret = Ty.Ptr; args = [] }
+    else if String.equal name rt_result_equal then
+      Some { ret = Ty.I1; args = [ Result; Result ] }
+    else if String.equal name rt_result_record_output then
+      Some { ret = Ty.Void; args = [ Result; Ptr_arg ] }
+    else if String.equal name rt_array_record_output then
+      Some { ret = Ty.Void; args = [ Int_arg Ty.I64; Ptr_arg ] }
+    else if String.equal name rt_initialize then
+      Some { ret = Ty.Void; args = [ Ptr_arg ] }
+    else if String.equal name rt_message then
+      Some { ret = Ty.Void; args = [ Ptr_arg ] }
+    else if String.equal name rt_fail then
+      Some { ret = Ty.Void; args = [ Ptr_arg ] }
+    else None
+end
+
+let test_name_tables_match_chains () =
+  let ops =
+    [ "h"; "x"; "y"; "z"; "s"; "t"; "sx"; "rx"; "ry"; "rz"; "cnot"; "cz";
+      "cy"; "swap"; "ccx"; "reset"; "mz"; "m"; "read_result";
+      (* alternates *) "cx"; "ccnot"; "toffoli" ]
+  in
+  let rt =
+    Names.
+      [ rt_qubit_allocate; rt_qubit_allocate_array; rt_qubit_release;
+        rt_qubit_release_array; rt_array_create_1d;
+        rt_array_get_element_ptr_1d; rt_array_get_size_1d;
+        rt_array_update_reference_count; rt_result_get_one;
+        rt_result_get_zero; rt_result_equal;
+        rt_result_update_reference_count; rt_result_record_output;
+        rt_array_record_output; rt_initialize; rt_message; rt_fail ]
+  in
+  let near_misses =
+    [ ""; Names.qis_prefix; Names.rt_prefix; "__quantum__qis_"; "__quantum__rt_";
+      "__quantum__qis__h"; "__quantum__qis__h__ctl"; "__quantum__qis__h_body";
+      "__quantum__qis__h__body_"; "__quantum__qis__h__adjoint";
+      "__quantum__qis____body"; "__quantum__qis__hh__body";
+      "__quantum__rt__qubit_allocatex"; "__quantum__QIS__h__body";
+      "x__quantum__qis__h__body"; "abcdefghijklmno"; "abcdefghijklmnop";
+      "__quantum__rt__x"; "__quantum__qis_x" ]
+  in
+  let names =
+    List.concat_map (fun op -> [ Names.qis op; Names.qis_adj op ]) ops
+    @ rt
+    @ List.map (fun n -> n ^ "__body") rt
+    @ near_misses
+  in
+  check bool_t "15- and 16-character near-misses present" true
+    (List.exists (fun n -> String.length n = 15) near_misses
+    && List.exists (fun n -> String.length n = 16) near_misses);
+  List.iter
+    (fun name ->
+      check bool_t ("is_qis " ^ name) (Chain_names.is_qis name)
+        (Names.is_qis name);
+      check bool_t ("is_rt " ^ name) (Chain_names.is_rt name)
+        (Names.is_rt name);
+      check bool_t ("find " ^ name) true
+        (Chain_names.find name = Signatures.find name);
+      List.iter
+        (fun params ->
+          check bool_t ("gate_of_qis " ^ name) true
+            (Chain_names.gate_of_qis name params
+            = Names.gate_of_qis name params))
+        [ []; [ 0.5 ]; [ 0.25; 0.75 ] ])
+    names
 
 (* ------------------------------------------------------------------ *)
 (* Interprocedural constant addresses: the worklist fixpoint           *)
@@ -1595,6 +2040,12 @@ let suite =
       test_qopt_release_hoist;
     Alcotest.test_case "quantum-opt: promotes to static addressing" `Quick
       test_qopt_promotion;
+    Alcotest.test_case "quantum-opt: maintained view equals the rebuild"
+      `Quick test_qopt_view_matches_oracle;
+    Alcotest.test_case "quantum-opt: QO004 counts what is rewritten" `Quick
+      test_qopt_qo004_counts_rewrites;
+    Alcotest.test_case "names: tables equal the string chains" `Quick
+      test_name_tables_match_chains;
     Alcotest.test_case "const-addr: worklist equals round-robin" `Quick
       test_worklist_matches_round_robin;
     Alcotest.test_case "const-addr: no early stop on deep shifts" `Quick
@@ -1603,4 +2054,5 @@ let suite =
       test_worklist_linear_on_chains;
   ]
   @ List.map QCheck_alcotest.to_alcotest qopt_props
+  @ List.map QCheck_alcotest.to_alcotest qopt_oracle_props
   @ List.map QCheck_alcotest.to_alcotest ipo_props
