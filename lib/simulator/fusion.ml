@@ -9,18 +9,19 @@
    [k] qubits), or flushes the clusters it touches and starts a new one.
    A merge fires only when the engine-cost model says the merged kernel
    is no more expensive than the kernels it replaces. The model mirrors
-   the engine's specialized kernels: diagonal cluster matrices cost a
+   the engine's classified sweep: diagonal cluster matrices cost a
    fraction of a sweep, monomial (permutation-with-phases) matrices —
    any run of X/CX/SWAP/CCX/phase gates — cost one sweep regardless of
-   cluster width, and dense matrices pay 2^m multiplies per amplitude.
+   cluster width, and sparse matrices pay per nonzero per row.
    So Clifford+T runs collapse into wide one-sweep clusters, an H still
    fuses into a neighboring CNOT (the dense 4x4 beats two sweeps), but
    a dense matrix is never grown past what the replaced gates cost.
 
    Emission keeps the cheapest encoding for each flushed cluster: a
    cluster that is still a single source gate is re-emitted as that gate
-   (preserving the engine's specialized kernel dispatch), 1- and
-   2-qubit matrices lower to Mat1/Mat2, anything wider to Cluster.
+   (keeping the engine's per-gate dispatch and precomputed
+   classifications), 1- and 2-qubit matrices lower to Mat1/Mat2,
+   anything wider to Cluster.
 
    Measurements, resets, barriers and classically-conditioned
    operations are fusion barriers for the qubits they touch (a
@@ -208,9 +209,13 @@ let mat3_local (g : Gate.t) (ops : int array) (sorted : int array) =
 (* Engine-cost model                                                    *)
 
 (* Costs in units of one light-compute sweep over the amplitude arrays.
-   Standalone gates are priced at their specialized kernel: diagonal
-   d0=1 kernels touch half the amplitudes, CX/SWAP move half, CCX a
-   quarter, controlled-general 4x4s pay the 16-complex-multiply matvec. *)
+   Standalone gates are priced at the kernel that runs them: diagonal
+   d0=1 1q kernels touch half the amplitudes, CX/SWAP/CY move half, the
+   classified sweep's diagonal (CZ/CP/CRZ) and pure-permutation
+   (CCX/CSWAP) steps touch a quarter or less, and its sparse steps
+   (CH, the controlled rotations, CU) pay a matvec per group. The
+   weights were calibrated against the retired per-gate kernels and
+   are kept so plans stay unchanged. *)
 let gate_cost (g : Gate.t) =
   match g with
   | Gate.I -> 0.0
@@ -225,8 +230,8 @@ let gate_cost (g : Gate.t) =
    against the engine's measured sweep costs (in units of one
    full-array light sweep): diagonal and monomial (cycle-walking)
    cluster sweeps cost about one sweep regardless of width; a 2-qubit
-   non-monomial matrix lowers to the hardcoded general 4x4 kernel
-   (~1.4); anything wider runs as a CSR matvec whose per-amplitude work
+   non-monomial matrix is priced as the general 4x4 matvec (~1.4);
+   anything wider runs as a CSR matvec whose per-amplitude work
    is the average row density — gather/scatter staging makes that
    roughly 0.55 of a sweep per nonzero-per-row on top of a half-sweep
    of fixed overhead. The effect: Clifford+T runs fold into wide

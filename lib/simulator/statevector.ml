@@ -17,29 +17,25 @@
    (the paper's Sec. IV-A).
 
    Engine layering (the hot path of the whole toolchain):
-   - every kernel enumerates only the indices with the target bit(s)
-     clear and reconstructs the full index by bit insertion, so a 1q
-     kernel visits size/2 loop iterations, a 2q kernel size/4, CCX
-     size/8 — instead of scanning all 2^n indices and filtering;
-   - structured gates get dedicated kernels: permutations (X, CNOT,
-     SWAP, CCX, CSWAP) shuffle amplitudes without arithmetic, diagonal
-     gates (Z, S, T, Rz, CZ, CP, ...) multiply phases without touching
-     index pairs, and real matrices (H, Ry) skip the imaginary halves of
-     the complex multiply; everything else falls back to the general
-     2x2 / 4x4 kernel;
-   - when the register is large enough, kernels split their index range
-     across a reusable Domain pool ({!Dpool});
-   - cross-shard gates run a stride-aware shard exchange: the involved
+   - two kernel families. 1-qubit gates, CX and SWAP have dedicated
+     kernels (permutation / diagonal / real / general 2x2 and the
+     pair swap), which enumerate only the indices with the operand
+     bits clear (size/2 or size/4 iterations). Every other matrix — a
+     fused cluster, a fused 2-qubit step, CY, CZ, CH, CP, the
+     controlled rotations, CU, CCX, CSWAP — is classified once as
+     diagonal, monomial (permutation with phases) or sparse (CSR) and
+     applied by one sweep over the groups of 2^m amplitudes
+     ({!apply_cluster}); the fixed gates' classifications are built
+     at module initialisation;
+   - when the register is large enough, sweeps split their index
+     range across a reusable Domain pool ({!Dpool});
+   - cross-shard work runs a stride-aware shard exchange: the involved
      bit positions are split once at the shard boundary, the high
-     positions select shard pairs, the low positions form a mask whose
-     clear-bit offsets are enumerated by mask-increment — one pass per
-     shard pair over large contiguous runs instead of an element-wise
-     two-level gather/scatter. A permutation gate whose involved bits
-     all sit at or above the boundary degenerates to swapping shard
-     references: O(1) per shard pair, no amplitude traffic at all;
-   - whole runs of fused gates execute as one pass via the cluster
-     kernel ({!apply_cluster}), with constant-work fast paths for
-     diagonal and permutation-shaped cluster matrices;
+     positions select shard groups, the low positions form a mask
+     whose clear-bit offsets are enumerated by mask-increment — one
+     pass per shard group over large contiguous runs. A pure
+     permutation whose bits all sit at or above the boundary swaps
+     shard references instead: O(1) per shard group;
    - the seed's full-scan general kernels survive in {!Reference}
      (re-addressed for the sharded layout, arithmetic untouched) as the
      correctness oracle for tests and the baseline for benchmarks. *)
@@ -283,12 +279,6 @@ let insert_zero x p = ((x lsr p) lsl (p + 1)) lor (x land ((1 lsl p) - 1))
 
 let sort2 a b = if a < b then (a, b) else (b, a)
 
-let sort3 a b c =
-  let a, b = sort2 a b in
-  let a, c = sort2 a c in
-  let b, c = sort2 b c in
-  (a, b, c)
-
 (* [enum_base ps k]: the k-th smallest index among those with every
    (ascending) bit position in [ps] clear. *)
 let enum_base ps k =
@@ -372,29 +362,48 @@ let sh_scale st ~ps ~off ~zr ~zi =
         o := ((!o lor lmsk) + 1) land nmsk
       done)
 
-(* Pure permutation gates (X, CX, SWAP, CCX, CSWAP): when every
-   involved bit sits at or above the shard boundary the gate permutes
-   whole shards — swap the slice references, O(1) per shard pair, no
-   amplitude traffic (a GHZ chain's high-bit CNOTs on a 28q register
-   cost nothing per amplitude). Otherwise sweep shard pairs with the
-   swap body. *)
+(* A pure permutation whose involved bits all sit at or above the
+   shard boundary permutes whole shards. For every shard group (bit
+   insertion over [highs]) it runs a move program over shard-index
+   deltas on the slice references: save the slices of each [hd] slot,
+   give slot [mv_dst.(j)] the slices of slot [mv_src.(j)], then give
+   each [cl] slot its cycle's saved slices. O(1) per shard group, with
+   no amplitude traffic (a GHZ chain's high-bit CNOTs on a 28q register
+   cost nothing per amplitude). *)
+let rotate_shards st highs ~hd ~mv_dst ~mv_src ~cl =
+  let sgroups = Array.length st.re lsr Array.length highs in
+  let tre = Array.map (fun _ -> st.re.(0)) hd in
+  let tim = Array.map (fun _ -> st.im.(0)) hd in
+  for g = 0 to sgroups - 1 do
+    let sbase = enum_base highs g in
+    Array.iteri
+      (fun w d ->
+        tre.(w) <- st.re.(sbase lor d);
+        tim.(w) <- st.im.(sbase lor d))
+      hd;
+    Array.iteri
+      (fun j d ->
+        let src = sbase lor mv_src.(j) in
+        st.re.(sbase lor d) <- st.re.(src);
+        st.im.(sbase lor d) <- st.im.(src))
+      mv_dst;
+    Array.iteri
+      (fun w d ->
+        st.re.(sbase lor d) <- tre.(w);
+        st.im.(sbase lor d) <- tim.(w))
+      cl
+  done
+
+(* Pair-swapping permutation gates (X, CX, SWAP): whole-shard swaps
+   when every involved bit is high, otherwise shard-pair sweeps with
+   the swap body. *)
 let sh_perm st ~ps ~oa ~ob =
   let lb = st.lb in
   let lows, highs = split_low_high lb ps in
-  if Array.length lows = 0 then begin
+  if Array.length lows = 0 then
     let sa = oa lsr lb and sb = ob lsr lb in
-    let sgroups = Array.length st.re lsr Array.length highs in
-    for g = 0 to sgroups - 1 do
-      let sbase = enum_base highs g in
-      let s0 = sbase lor sa and s1 = sbase lor sb in
-      let tr = st.re.(s0) in
-      st.re.(s0) <- st.re.(s1);
-      st.re.(s1) <- tr;
-      let ti = st.im.(s0) in
-      st.im.(s0) <- st.im.(s1);
-      st.im.(s1) <- ti
-    done
-  end
+    rotate_shards st highs ~hd:[| sa |] ~mv_dst:[| sa |] ~mv_src:[| sb |]
+      ~cl:[| sb |]
   else begin
     let checked = !checked_access_ref in
     sh_pairs st ~ps ~oa ~ob (fun r0 m0 r1 m1 oal obl lmsk inner ->
@@ -412,7 +421,7 @@ let sh_perm st ~ps ~oa ~ob =
         done)
   end
 
-(* Y-shaped exchange (Y, CY): a0' = -i*a1, a1' = i*a0. *)
+(* Y's exchange: a0' = -i*a1, a1' = i*a0. *)
 let sh_y st ~ps ~oa ~ob =
   let checked = !checked_access_ref in
   sh_pairs st ~ps ~oa ~ob (fun r0 m0 r1 m1 oal obl lmsk inner ->
@@ -706,7 +715,7 @@ let apply_general1q st ~u00re ~u00im ~u01re ~u01im ~u10re ~u10im ~u11re
 (* Structure dispatch for an arbitrary 2x2 matrix. The zero tests are
    exact: gate matrices carry exact 0.0 entries and matrix products of
    structured matrices preserve them. *)
-let apply_mat1 st (u : Complex.t array array) q =
+let apply_1q st (u : Complex.t array array) q =
   let u00 = u.(0).(0) and u01 = u.(0).(1) and u10 = u.(1).(0) and u11 = u.(1).(1) in
   let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0 in
   let r (z : Complex.t) = z.Complex.re and i (z : Complex.t) = z.Complex.im in
@@ -722,20 +731,16 @@ let apply_mat1 st (u : Complex.t array array) q =
       ~u11im:(i u11) q
 
 (* ------------------------------------------------------------------ *)
-(* Specialized 2-qubit kernels                                          *)
+(* CX and SWAP                                                          *)
 
-let check_pair st qa qb =
+(* CX and SWAP exchange one amplitude pair, (i lor oa, i lor ob), per
+   index [i] of the quarter of the space with both operand bits clear. *)
+let swap_pairs st qa qb ~oa ~ob =
   check_qubit st qa;
   check_qubit st qb;
-  if qa = qb then Sim_error.error ~op:"Statevector" "identical qubits (%d)" qa
-
-(* CNOT: for indices with control set, swap the target pair. *)
-let apply_cx st c t =
-  check_pair st c t;
-  let bc = 1 lsl c and bt = 1 lsl t in
-  let p_lo, p_hi = sort2 c t in
-  if sharded st then
-    sh_perm st ~ps:[| p_lo; p_hi |] ~oa:bc ~ob:(bc lor bt)
+  if qa = qb then Sim_error.error ~op:"Statevector" "identical qubits (%d)" qa;
+  let p_lo, p_hi = sort2 qa qb in
+  if sharded st then sh_perm st ~ps:[| p_lo; p_hi |] ~oa ~ob
   else begin
     let quarter = dim st / 4 in
     let re = st.re.(0) and im = st.im.(0) in
@@ -744,12 +749,11 @@ let apply_cx st c t =
         (* monotone in [k]: the chunk's last index bounds every access *)
         if checked && hi > lo then begin
           let i = insert_zero (insert_zero (hi - 1) p_lo) p_hi in
-          assert (i lor bc lor bt < Ba.dim re)
+          assert (i lor oa lor ob < Ba.dim re)
         end;
         for k = lo to hi - 1 do
           let i = insert_zero (insert_zero k p_lo) p_hi in
-          let i0 = i lor bc in
-          let i1 = i0 lor bt in
+          let i0 = i lor oa and i1 = i lor ob in
           let tr = bget re i0 and ti = bget im i0 in
           bset re i0 (bget re i1);
           bset im i0 (bget im i1);
@@ -758,191 +762,9 @@ let apply_cx st c t =
         done)
   end
 
-let apply_cy st c t =
-  check_pair st c t;
-  let bc = 1 lsl c and bt = 1 lsl t in
-  let p_lo, p_hi = sort2 c t in
-  if sharded st then sh_y st ~ps:[| p_lo; p_hi |] ~oa:bc ~ob:(bc lor bt)
-  else begin
-    let quarter = dim st / 4 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:quarter (fun lo hi ->
-        (* monotone in [k]: the chunk's last index bounds every access *)
-        if checked && hi > lo then begin
-          let i = insert_zero (insert_zero (hi - 1) p_lo) p_hi in
-          assert (i lor bc lor bt < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          let i0 = i lor bc in
-          let i1 = i0 lor bt in
-          let ar = bget re i0 and ai = bget im i0 in
-          let br = bget re i1 and bi = bget im i1 in
-          bset re i0 bi;
-          bset im i0 (-.br);
-          bset re i1 (-.ai);
-          bset im i1 ar
-        done)
-  end
-
-let apply_swap st a b =
-  check_pair st a b;
-  let ba = 1 lsl a and bb = 1 lsl b in
-  let p_lo, p_hi = sort2 a b in
-  if sharded st then sh_perm st ~ps:[| p_lo; p_hi |] ~oa:ba ~ob:bb
-  else begin
-    let quarter = dim st / 4 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:quarter (fun lo hi ->
-        (* monotone in [k]: the chunk's last index bounds every access *)
-        if checked && hi > lo then begin
-          let i = insert_zero (insert_zero (hi - 1) p_lo) p_hi in
-          assert (i lor ba lor bb < Ba.dim re)
-        end;
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          let i0 = i lor ba in
-          let i1 = i lor bb in
-          let tr = bget re i0 and ti = bget im i0 in
-          bset re i0 (bget re i1);
-          bset im i0 (bget im i1);
-          bset re i1 tr;
-          bset im i1 ti
-        done)
-  end
-
-(* Diagonal 4x4: phase multiply per basis pattern, no pair shuffle.
-   [d] is indexed by the 2-bit pattern (bit of qa, bit of qb) with qa
-   the most significant — the {!Gate.matrix_2q} convention. Unit
-   entries are skipped (each sub-state's amplitudes are disjoint, so
-   the sharded per-sub-state sweeps match the flat interleaved loop
-   bit for bit). *)
-let apply_diag2 st (d : Complex.t array) qa qb =
-  check_pair st qa qb;
-  let ba = 1 lsl qa and bb = 1 lsl qb in
-  let p_lo, p_hi = sort2 qa qb in
-  let one (z : Complex.t) = z.re = 1.0 && z.im = 0.0 in
-  if sharded st then begin
-    let ps = [| p_lo; p_hi |] in
-    let offs = [| 0; bb; ba; ba lor bb |] in
-    for x = 0 to 3 do
-      if not (one d.(x)) then
-        sh_scale st ~ps ~off:offs.(x) ~zr:d.(x).Complex.re ~zi:d.(x).Complex.im
-    done
-  end
-  else begin
-    let quarter = dim st / 4 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    let mul (z : Complex.t) i =
-      if checked then assert (i < Ba.dim re);
-      let r = bget re i and m = bget im i in
-      bset re i ((z.re *. r) -. (z.im *. m));
-      bset im i ((z.re *. m) +. (z.im *. r))
-    in
-    let s0 = one d.(0) and s1 = one d.(1) and s2 = one d.(2) and s3 = one d.(3) in
-    Dpool.run ~size:quarter (fun lo hi ->
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          if not s0 then mul d.(0) i;
-          if not s1 then mul d.(1) (i lor bb);
-          if not s2 then mul d.(2) (i lor ba);
-          if not s3 then mul d.(3) (i lor ba lor bb)
-        done)
-  end
-
-(* Stride-aware sharded general 4x4: the four sub-state slices of a
-   shard group are pinned once, then the offsets enumerate by
-   mask-increment — same gather/matvec/scatter arithmetic as the flat
-   kernel below. *)
-let sh_general2q st (u : Complex.t array array) qa qb =
-  let lb = st.lb in
-  let lm = (1 lsl lb) - 1 in
-  let ba = 1 lsl qa and bb = 1 lsl qb in
-  let p_lo, p_hi = sort2 qa qb in
-  let lows, highs = split_low_high lb [| p_lo; p_hi |] in
-  let lmsk = mask_of lows in
-  let nmsk = lnot lmsk in
-  let inner = (1 lsl lb) lsr Array.length lows in
-  let offs = [| 0; bb; ba; ba lor bb |] in
-  let sdelta = Array.map (fun o -> o lsr lb) offs in
-  let odelta = Array.map (fun o -> o land lm) offs in
-  let res = st.re and ims = st.im in
-  let checked = !checked_access_ref in
-  let sgroups = Array.length res lsr Array.length highs in
-  Dpool.run_tasks ~count:sgroups (fun g ->
-      let sbase = enum_base highs g in
-      let sre = Array.map (fun d -> res.(sbase lor d)) sdelta in
-      let sim = Array.map (fun d -> ims.(sbase lor d)) sdelta in
-      let tmp_re = Array.make 4 0.0 and tmp_im = Array.make 4 0.0 in
-      let o = ref 0 in
-      for _ = 1 to inner do
-        for row = 0 to 3 do
-          let sr = ref 0.0 and si = ref 0.0 in
-          for col = 0 to 3 do
-            let m = u.(row).(col) in
-            let j = !o lor Array.unsafe_get odelta col in
-            let slr = Array.unsafe_get sre col in
-            if checked then assert (j < Ba.dim slr);
-            let vr = bget slr j and vi = bget (Array.unsafe_get sim col) j in
-            sr := !sr +. ((m.Complex.re *. vr) -. (m.Complex.im *. vi));
-            si := !si +. ((m.Complex.re *. vi) +. (m.Complex.im *. vr))
-          done;
-          tmp_re.(row) <- !sr;
-          tmp_im.(row) <- !si
-        done;
-        for row = 0 to 3 do
-          let j = !o lor Array.unsafe_get odelta row in
-          bset (Array.unsafe_get sre row) j (Array.unsafe_get tmp_re row);
-          bset (Array.unsafe_get sim row) j (Array.unsafe_get tmp_im row)
-        done;
-        o := ((!o lor lmsk) + 1) land nmsk
-      done)
-
-(* General two-qubit unitary on qubits [qa] (most significant in the
-   matrix basis) and [qb]: enumerates the quarter of the index space
-   with both bits clear. *)
-let apply_general2q st (u : Complex.t array array) qa qb =
-  check_pair st qa qb;
-  if sharded st then sh_general2q st u qa qb
-  else begin
-    let ba = 1 lsl qa and bb = 1 lsl qb in
-    let p_lo, p_hi = sort2 qa qb in
-    let quarter = dim st / 4 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:quarter (fun lo hi ->
-        (* per-chunk scratch: kernels may run concurrently *)
-        let tmp_re = Array.make 4 0.0 and tmp_im = Array.make 4 0.0 in
-        let idx = Array.make 4 0 in
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero k p_lo) p_hi in
-          idx.(0) <- i;
-          idx.(1) <- i lor bb;
-          idx.(2) <- i lor ba;
-          idx.(3) <- i lor ba lor bb;
-          if checked then assert (i lor ba lor bb < Ba.dim re);
-          for row = 0 to 3 do
-            let sr = ref 0.0 and si = ref 0.0 in
-            for col = 0 to 3 do
-              let m = u.(row).(col) in
-              let j = Array.unsafe_get idx col in
-              let vr = bget re j and vi = bget im j in
-              sr := !sr +. ((m.Complex.re *. vr) -. (m.Complex.im *. vi));
-              si := !si +. ((m.Complex.re *. vi) +. (m.Complex.im *. vr))
-            done;
-            tmp_re.(row) <- !sr;
-            tmp_im.(row) <- !si
-          done;
-          for row = 0 to 3 do
-            let j = Array.unsafe_get idx row in
-            bset re j (Array.unsafe_get tmp_re row);
-            bset im j (Array.unsafe_get tmp_im row)
-          done
-        done)
-  end
+(* CNOT swaps the target pair where the control is set. *)
+let apply_cx st c t = swap_pairs st c t ~oa:(1 lsl c) ~ob:((1 lsl c) lor (1 lsl t))
+let apply_swap st a b = swap_pairs st a b ~oa:(1 lsl a) ~ob:(1 lsl b)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster kernel                                                       *)
@@ -966,19 +788,75 @@ let apply_general2q st (u : Complex.t array array) qa qb =
    {!set_checked_access} turns the proof back into runtime
    assertions. *)
 
+(* A monomial's cycle walk (new[r] = phase[r] * old[perm r]) as a
+   straight-line move program over sub-state indices. The walk touches
+   every sub-state at most once, on disjoint indices, so a sweep can run
+   the fixed points' phases, save each cycle's head, shift the other
+   elements one step along their cycles (in walk order, so each source
+   is read before it is overwritten) and close each cycle from its
+   saved head. Reordering across disjoint indices leaves each
+   amplitude's arithmetic, and so the result bit for bit, that of the
+   per-cycle walk, without a per-group pointer chase through cycle
+   arrays. Unit-phase fixed points are dropped; [unit] marks a pure
+   permutation, which moves amplitudes without arithmetic. *)
+type moves = {
+  unit : bool;
+  fx : int array; (* fixed points with a non-unit phase *)
+  fx_pr : float array;
+  fx_pi : float array;
+  hd : int array; (* cycle heads *)
+  mv_dst : int array;
+  mv_src : int array;
+  mv_pr : float array;
+  mv_pi : float array;
+  cl : int array; (* each cycle's last element, fed from its head *)
+  cl_pr : float array;
+  cl_pi : float array;
+}
+
 type cluster_kind =
-  | Cl_diag of float array * float array
-  | Cl_monomial of int array array * float array * float array
-      (* permutation as its cycles (each walked in apply order:
-         new[r] = phase[r] * old[perm r], with cycle.(t+1) = perm
-         cycle.(t)), so the sweep moves amplitudes along each cycle
-         holding a single saved pair — no staging buffers. *)
+  | Cl_diag of int array * float array * float array
+      (* the non-unit diagonal entries: sub-state indices, re/im *)
+  | Cl_monomial of moves
   | Cl_sparse of int array * int array * float array * float array
       (* CSR over the exact nonzeros: row offsets (sub+1), column
          indices, then re/im weights. Fused Clifford+T matrices are
          mostly zeros (a CX-and-H product has 2-4 nonzeros per 32-wide
          row), so skipping them is the difference between a 2^m matvec
          and a near-constant number of multiplies per amplitude. *)
+
+let compile_moves perm phr phi =
+  let sub = Array.length perm in
+  let fx = ref [] and hd = ref [] and mv = ref [] and cl = ref [] in
+  let seen = Array.make sub false in
+  for r0 = 0 to sub - 1 do
+    if not seen.(r0) then begin
+      seen.(r0) <- true;
+      if perm.(r0) = r0 then begin
+        if phr.(r0) <> 1.0 || phi.(r0) <> 0.0 then fx := r0 :: !fx
+      end
+      else begin
+        hd := r0 :: !hd;
+        let r = ref r0 in
+        while perm.(!r) <> r0 do
+          mv := (!r, perm.(!r)) :: !mv;
+          r := perm.(!r);
+          seen.(!r) <- true
+        done;
+        cl := !r :: !cl
+      end
+    end
+  done;
+  let arr l = Array.of_list (List.rev l) in
+  let fx = arr !fx and hd = arr !hd and cl = arr !cl in
+  let mv_dst = arr (List.map fst !mv) and mv_src = arr (List.map snd !mv) in
+  let pr a = Array.map (fun r -> phr.(r)) a in
+  let pi a = Array.map (fun r -> phi.(r)) a in
+  {
+    unit = Array.for_all (( = ) 1.0) phr && Array.for_all (( = ) 0.0) phi;
+    fx; fx_pr = pr fx; fx_pi = pi fx; hd; mv_dst; mv_src;
+    mv_pr = pr mv_dst; mv_pi = pi mv_dst; cl; cl_pr = pr cl; cl_pi = pi cl;
+  }
 
 let classify_cluster (u : Complex.t array array) sub =
   let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0 in
@@ -1004,28 +882,16 @@ let classify_cluster (u : Complex.t array array) sub =
   if monomial then begin
     let phr = Array.init sub (fun r -> u.(r).(perm.(r)).Complex.re) in
     let phi = Array.init sub (fun r -> u.(r).(perm.(r)).Complex.im) in
-    let diag = ref true in
-    Array.iteri (fun r c -> if r <> c then diag := false) perm;
-    if !diag then Cl_diag (phr, phi)
-    else begin
-      let seen = Array.make sub false in
-      let cycles = ref [] in
-      for r0 = 0 to sub - 1 do
-        if not seen.(r0) then begin
-          let cyc = ref [ r0 ] in
-          seen.(r0) <- true;
-          let r = ref perm.(r0) in
-          while !r <> r0 do
-            seen.(!r) <- true;
-            cyc := !r :: !cyc;
-            r := perm.(!r)
-          done;
-          (* reverse so that cycle.(t+1) = perm cycle.(t) *)
-          cycles := Array.of_list (List.rev !cyc) :: !cycles
-        end
-      done;
-      Cl_monomial (Array.of_list (List.rev !cycles), phr, phi)
+    if Array.for_all Fun.id (Array.mapi ( = ) perm) then begin
+      let xs =
+        List.filter
+          (fun r -> phr.(r) <> 1.0 || phi.(r) <> 0.0)
+          (List.init sub Fun.id)
+        |> Array.of_list
+      in
+      Cl_diag (xs, Array.map (fun r -> phr.(r)) xs, Array.map (fun r -> phi.(r)) xs)
     end
+    else Cl_monomial (compile_moves perm phr phi)
   end
   else begin
     let nnz = ref 0 in
@@ -1064,99 +930,38 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
   let msk = mask_of ps in
   let nmsk = lnot msk in
   match kind with
-  | Cl_diag (dre, die) ->
+  | Cl_diag (xs, dre, die) ->
+    let doff = Array.map (fun x -> offs.(x)) xs in
     let base = ref (enum_base ps lo) in
     for _ = lo to hi - 1 do
       let b = !base in
       (* every in-group index is b lor off with off subset of msk, so
          one per-group assert covers each unsafe access below *)
       if checked then assert (b >= 0 && b lor msk < size);
-      for x = 0 to sub - 1 do
-        let dr = Array.unsafe_get dre x and di = Array.unsafe_get die x in
-        if dr <> 1.0 || di <> 0.0 then begin
-          let i = b lor Array.unsafe_get offs x in
-          let r = bget are i and q = bget aim i in
-          bset are i ((dr *. r) -. (di *. q));
-          bset aim i ((dr *. q) +. (di *. r))
-        end
+      for j = 0 to Array.length doff - 1 do
+        let dr = Array.unsafe_get dre j and di = Array.unsafe_get die j in
+        let i = b lor Array.unsafe_get doff j in
+        let r = bget are i and q = bget aim i in
+        bset are i ((dr *. r) -. (di *. q));
+        bset aim i ((dr *. q) +. (di *. r))
       done;
       base := ((b lor msk) + 1) land nmsk
     done
-  | Cl_monomial (cycles, phr, phi) ->
-    (* The cycle walk touches every sub-state exactly once, on disjoint
-       indices, so it flattens into a straight-line move program
-       compiled once per sweep: save each cycle's head, shift the
-       remaining elements one step along the cycle, close each cycle
-       from its saved head. Running all heads, then all shifts, then
-       all closes reorders only across disjoint indices — the
-       per-amplitude arithmetic (and therefore the result, bit for
-       bit) is that of the per-cycle walk, without the per-group
-       pointer chase through the cycle arrays. *)
-    let ncyc = Array.length cycles in
-    let nfix = ref 0 and nmv = ref 0 and nwalk = ref 0 in
-    for ci = 0 to ncyc - 1 do
-      let len = Array.length cycles.(ci) in
-      if len = 1 then begin
-        let r0 = cycles.(ci).(0) in
-        (* fixed point: a pure phase; identity phases cost nothing *)
-        if phr.(r0) <> 1.0 || phi.(r0) <> 0.0 then incr nfix
-      end
-      else begin
-        incr nwalk;
-        nmv := !nmv + (len - 1)
-      end
-    done;
-    let fx_off = Array.make (max 1 !nfix) 0 in
-    let fx_pr = Array.make (max 1 !nfix) 0.0 in
-    let fx_pi = Array.make (max 1 !nfix) 0.0 in
-    let hd_off = Array.make (max 1 !nwalk) 0 in
-    let cl_off = Array.make (max 1 !nwalk) 0 in
-    let cl_pr = Array.make (max 1 !nwalk) 0.0 in
-    let cl_pi = Array.make (max 1 !nwalk) 0.0 in
-    let mv_dst = Array.make (max 1 !nmv) 0 in
-    let mv_src = Array.make (max 1 !nmv) 0 in
-    let mv_pr = Array.make (max 1 !nmv) 0.0 in
-    let mv_pi = Array.make (max 1 !nmv) 0.0 in
-    let tr = Array.make (max 1 !nwalk) 0.0 in
-    let ti = Array.make (max 1 !nwalk) 0.0 in
-    let fi = ref 0 and wi = ref 0 and mi = ref 0 in
-    for ci = 0 to ncyc - 1 do
-      let cyc = cycles.(ci) in
-      let len = Array.length cyc in
-      let r0 = cyc.(0) in
-      if len = 1 then begin
-        if phr.(r0) <> 1.0 || phi.(r0) <> 0.0 then begin
-          fx_off.(!fi) <- offs.(r0);
-          fx_pr.(!fi) <- phr.(r0);
-          fx_pi.(!fi) <- phi.(r0);
-          incr fi
-        end
-      end
-      else begin
-        hd_off.(!wi) <- offs.(r0);
-        for t = 0 to len - 2 do
-          let r = cyc.(t) in
-          mv_dst.(!mi) <- offs.(r);
-          mv_src.(!mi) <- offs.(cyc.(t + 1));
-          mv_pr.(!mi) <- phr.(r);
-          mv_pi.(!mi) <- phi.(r);
-          incr mi
-        done;
-        let r = cyc.(len - 1) in
-        cl_off.(!wi) <- offs.(r);
-        cl_pr.(!wi) <- phr.(r);
-        cl_pi.(!wi) <- phi.(r);
-        incr wi
-      end
-    done;
-    let nfix = !nfix and nmv = !nmv and nwalk = !nwalk in
+  | Cl_monomial p ->
+    let at a = Array.map (fun x -> offs.(x)) a in
+    let fx_off = at p.fx and hd_off = at p.hd and cl_off = at p.cl in
+    let mv_dst = at p.mv_dst and mv_src = at p.mv_src in
+    let nfix = Array.length fx_off and nmv = Array.length mv_dst in
+    let nwalk = Array.length hd_off in
+    let tr = Array.make (max 1 nwalk) 0.0 in
+    let ti = Array.make (max 1 nwalk) 0.0 in
     let base = ref (enum_base ps lo) in
     for _ = lo to hi - 1 do
       let b = !base in
       if checked then assert (b >= 0 && b lor msk < size);
       for f = 0 to nfix - 1 do
         let i = b lor Array.unsafe_get fx_off f in
-        let pr = Array.unsafe_get fx_pr f and pi = Array.unsafe_get fx_pi f in
+        let pr = Array.unsafe_get p.fx_pr f and pi = Array.unsafe_get p.fx_pi f in
         let xr = bget are i and xi = bget aim i in
         bset are i ((pr *. xr) -. (pi *. xi));
         bset aim i ((pr *. xi) +. (pi *. xr))
@@ -1166,27 +971,42 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
         Array.unsafe_set tr w (bget are i);
         Array.unsafe_set ti w (bget aim i)
       done;
-      (* shifts read each source before any later shift overwrites it:
-         the program preserves the walk order within every cycle *)
-      for j = 0 to nmv - 1 do
-        let isrc = b lor Array.unsafe_get mv_src j in
-        let xr = bget are isrc and xi = bget aim isrc in
-        let pr = Array.unsafe_get mv_pr j and pi = Array.unsafe_get mv_pi j in
-        let idst = b lor Array.unsafe_get mv_dst j in
-        bset are idst ((pr *. xr) -. (pi *. xi));
-        bset aim idst ((pr *. xi) +. (pi *. xr))
-      done;
-      for w = 0 to nwalk - 1 do
-        let i = b lor Array.unsafe_get cl_off w in
-        let pr = Array.unsafe_get cl_pr w and pi = Array.unsafe_get cl_pi w in
-        let sr = Array.unsafe_get tr w and si = Array.unsafe_get ti w in
-        bset are i ((pr *. sr) -. (pi *. si));
-        bset aim i ((pr *. si) +. (pi *. sr))
-      done;
+      (* a pure permutation (CCX, CSWAP, fused X/CX/SWAP runs) moves
+         amplitudes without arithmetic — bit for bit what the sharded
+         sweep's whole-shard rotation does *)
+      if p.unit then begin
+        for j = 0 to nmv - 1 do
+          let isrc = b lor Array.unsafe_get mv_src j in
+          let idst = b lor Array.unsafe_get mv_dst j in
+          bset are idst (bget are isrc);
+          bset aim idst (bget aim isrc)
+        done;
+        for w = 0 to nwalk - 1 do
+          let i = b lor Array.unsafe_get cl_off w in
+          bset are i (Array.unsafe_get tr w);
+          bset aim i (Array.unsafe_get ti w)
+        done
+      end
+      else begin
+        for j = 0 to nmv - 1 do
+          let isrc = b lor Array.unsafe_get mv_src j in
+          let xr = bget are isrc and xi = bget aim isrc in
+          let pr = Array.unsafe_get p.mv_pr j and pi = Array.unsafe_get p.mv_pi j in
+          let idst = b lor Array.unsafe_get mv_dst j in
+          bset are idst ((pr *. xr) -. (pi *. xi));
+          bset aim idst ((pr *. xi) +. (pi *. xr))
+        done;
+        for w = 0 to nwalk - 1 do
+          let i = b lor Array.unsafe_get cl_off w in
+          let pr = Array.unsafe_get p.cl_pr w and pi = Array.unsafe_get p.cl_pi w in
+          let sr = Array.unsafe_get tr w and si = Array.unsafe_get ti w in
+          bset are i ((pr *. sr) -. (pi *. si));
+          bset aim i ((pr *. si) +. (pi *. sr))
+        done
+      end;
       base := ((b lor msk) + 1) land nmsk
     done
   | Cl_sparse (rows, cols, wre, wim) ->
-    let vr = Array.make sub 0.0 and vi = Array.make sub 0.0 in
     (* Clusters built from one Hadamard-like gate and any number of
        permutation/phase gates put exactly two entries in every row —
        the overwhelmingly common non-monomial shape on Clifford+T
@@ -1204,8 +1024,10 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
          block — instead of six weight/column loads per row per group.
          Writes are disjoint and every amplitude's arithmetic (and
          accumulation order: 0.0 + first entry + second entry) is that
-         of the per-group walk, so results stay bit-identical. *)
-      let blk = max 1 (2048 / sub) in
+         of the per-group walk, so results stay bit-identical. The
+         block never exceeds the chunk's group count, so a sweep over a
+         small register allocates scratch for the groups it has. *)
+      let blk = max 1 (min (2048 / sub) (hi - lo)) in
       let bases = Array.make blk 0 in
       let svr = Array.make (blk * sub) 0.0 in
       let svi = Array.make (blk * sub) 0.0 in
@@ -1358,6 +1180,7 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
       done
     end
     else begin
+      let vr = Array.make sub 0.0 and vi = Array.make sub 0.0 in
       let base = ref (enum_base ps lo) in
       for _ = lo to hi - 1 do
         let b = !base in
@@ -1398,9 +1221,11 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
    above the shard boundary split their positions there — the high
    positions enumerate shard groups (one {!Dpool} task each), the
    sub-state slices of a group are pinned once, and the low positions
-   enumerate in-shard offsets by mask-increment. Each amplitude is
-   read/written exactly once per sweep, so the result is bit-identical
-   to the flat enumeration. *)
+   enumerate in-shard offsets by mask-increment. Each amplitude gets
+   the flat sweep's arithmetic exactly once per sweep, so the result is
+   bit-identical to the flat enumeration. A pure permutation whose bits
+   all sit at or above the boundary (CCX or CSWAP on high qubits)
+   rotates slice references instead: O(1) per shard group. *)
 let cluster_sweep_sharded st ~checked ~kind ~ps ~offs ~sub =
   let lb = st.lb in
   let lm = (1 lsl lb) - 1 in
@@ -1413,50 +1238,91 @@ let cluster_sweep_sharded st ~checked ~kind ~ps ~offs ~sub =
   let res = st.re and ims = st.im in
   let ssize = 1 lsl lb in
   let sgroups = Array.length res lsr Array.length highs in
+  match kind with
+  | Cl_monomial p when Array.length lows = 0 && p.unit ->
+    let sd a = Array.map (fun x -> sdelta.(x)) a in
+    rotate_shards st highs ~hd:(sd p.hd) ~mv_dst:(sd p.mv_dst)
+      ~mv_src:(sd p.mv_src) ~cl:(sd p.cl)
+  | _ ->
   Dpool.run_tasks ~count:sgroups (fun g ->
       let sbase = enum_base highs g in
       let sre = Array.map (fun d -> res.(sbase lor d)) sdelta in
       let sim = Array.map (fun d -> ims.(sbase lor d)) sdelta in
       match kind with
-      | Cl_diag (dre, die) ->
+      | Cl_diag (xs, dre, die) ->
         let o = ref 0 in
         for _ = 1 to inner do
-          for x = 0 to sub - 1 do
-            let dr = Array.unsafe_get dre x and di = Array.unsafe_get die x in
-            if dr <> 1.0 || di <> 0.0 then begin
-              let i = !o lor Array.unsafe_get odelta x in
-              if checked then assert (i < ssize);
-              let re = Array.unsafe_get sre x and im = Array.unsafe_get sim x in
-              let r = bget re i and q = bget im i in
-              bset re i ((dr *. r) -. (di *. q));
-              bset im i ((dr *. q) +. (di *. r))
-            end
+          for j = 0 to Array.length xs - 1 do
+            let x = Array.unsafe_get xs j in
+            let dr = Array.unsafe_get dre j and di = Array.unsafe_get die j in
+            let i = !o lor Array.unsafe_get odelta x in
+            if checked then assert (i < ssize);
+            let re = Array.unsafe_get sre x and im = Array.unsafe_get sim x in
+            let r = bget re i and q = bget im i in
+            bset re i ((dr *. r) -. (di *. q));
+            bset im i ((dr *. q) +. (di *. r))
           done;
           o := ((!o lor lmsk) + 1) land nmsk
         done
-      | Cl_monomial (cycles, phr, phi) ->
-        let vr = Array.make sub 0.0 and vi = Array.make sub 0.0 in
-        let ncyc = Array.length cycles in
+      | Cl_monomial p ->
+        (* the flat sweep's move program, each sub-state addressed as
+           (slice, in-shard offset) *)
+        let nwalk = Array.length p.hd in
+        let tr = Array.make (max 1 nwalk) 0.0 in
+        let ti = Array.make (max 1 nwalk) 0.0 in
         let o = ref 0 in
         for _ = 1 to inner do
-          for x = 0 to sub - 1 do
-            let i = !o lor Array.unsafe_get odelta x in
+          let o0 = !o in
+          for f = 0 to Array.length p.fx - 1 do
+            let x = Array.unsafe_get p.fx f in
+            let i = o0 lor Array.unsafe_get odelta x in
             if checked then assert (i < ssize);
-            Array.unsafe_set vr x (bget (Array.unsafe_get sre x) i);
-            Array.unsafe_set vi x (bget (Array.unsafe_get sim x) i)
+            let re = Array.unsafe_get sre x and im = Array.unsafe_get sim x in
+            let pr = Array.unsafe_get p.fx_pr f and pi = Array.unsafe_get p.fx_pi f in
+            let xr = bget re i and xi = bget im i in
+            bset re i ((pr *. xr) -. (pi *. xi));
+            bset im i ((pr *. xi) +. (pi *. xr))
           done;
-          for ci = 0 to ncyc - 1 do
-            let cyc = Array.unsafe_get cycles ci in
-            let len = Array.length cyc in
-            for t = 0 to len - 1 do
-              let r = Array.unsafe_get cyc t in
-              let c = Array.unsafe_get cyc ((t + 1) mod len) in
-              let xr = Array.unsafe_get vr c and xi = Array.unsafe_get vi c in
-              let pr = Array.unsafe_get phr r and pi = Array.unsafe_get phi r in
-              let i = !o lor Array.unsafe_get odelta r in
-              bset (Array.unsafe_get sre r) i ((pr *. xr) -. (pi *. xi));
-              bset (Array.unsafe_get sim r) i ((pr *. xi) +. (pi *. xr))
-            done
+          for w = 0 to nwalk - 1 do
+            let x = Array.unsafe_get p.hd w in
+            let i = o0 lor Array.unsafe_get odelta x in
+            if checked then assert (i < ssize);
+            Array.unsafe_set tr w (bget (Array.unsafe_get sre x) i);
+            Array.unsafe_set ti w (bget (Array.unsafe_get sim x) i)
+          done;
+          for j = 0 to Array.length p.mv_dst - 1 do
+            let s = Array.unsafe_get p.mv_src j and d = Array.unsafe_get p.mv_dst j in
+            let is = o0 lor Array.unsafe_get odelta s in
+            let id = o0 lor Array.unsafe_get odelta d in
+            if checked then assert (is < ssize && id < ssize);
+            let xr = bget (Array.unsafe_get sre s) is
+            and xi = bget (Array.unsafe_get sim s) is in
+            let re = Array.unsafe_get sre d and im = Array.unsafe_get sim d in
+            if p.unit then begin
+              bset re id xr;
+              bset im id xi
+            end
+            else begin
+              let pr = Array.unsafe_get p.mv_pr j and pi = Array.unsafe_get p.mv_pi j in
+              bset re id ((pr *. xr) -. (pi *. xi));
+              bset im id ((pr *. xi) +. (pi *. xr))
+            end
+          done;
+          for w = 0 to nwalk - 1 do
+            let x = Array.unsafe_get p.cl w in
+            let i = o0 lor Array.unsafe_get odelta x in
+            if checked then assert (i < ssize);
+            let re = Array.unsafe_get sre x and im = Array.unsafe_get sim x in
+            let sr = Array.unsafe_get tr w and si = Array.unsafe_get ti w in
+            if p.unit then begin
+              bset re i sr;
+              bset im i si
+            end
+            else begin
+              let pr = Array.unsafe_get p.cl_pr w and pi = Array.unsafe_get p.cl_pi w in
+              bset re i ((pr *. sr) -. (pi *. si));
+              bset im i ((pr *. si) +. (pi *. sr))
+            end
           done;
           o := ((!o lor lmsk) + 1) land nmsk
         done
@@ -1497,21 +1363,24 @@ let cluster_sweep_sharded st ~checked ~kind ~ps ~offs ~sub =
           o := ((!o lor lmsk) + 1) land nmsk
         done)
 
-let apply_cluster st (u : Complex.t array array) (qs : int array) =
-  let op = "Statevector.apply_cluster" in
+(* Validates a sweep's operands; returns them sorted ascending. *)
+let sweep_positions ~op st (qs : int array) =
   let m = Array.length qs in
   if m = 0 then Sim_error.error ~op "empty qubit set";
   if m > 8 then Sim_error.error ~op "cluster too large: %d qubits" m;
   Array.iter (check_qubit st) qs;
-  let sub = 1 lsl m in
-  if Array.length u <> sub then
-    Sim_error.error ~op "%d-qubit cluster needs a %dx%d matrix, got %dx%d" m
-      sub sub (Array.length u) (Array.length u);
   let ps = Array.copy qs in
   Array.sort compare ps;
   for j = 0 to m - 2 do
     if ps.(j) = ps.(j + 1) then Sim_error.error ~op "duplicate qubit %d" ps.(j)
   done;
+  ps
+
+(* Sweeps a classified matrix over the qubits [qs] (matrix bit [j] <->
+   [qs.(j)]), whose sorted copy is [ps]. *)
+let sweep st kind (qs : int array) ps =
+  let m = Array.length qs in
+  let sub = 1 lsl m in
   let offs = Array.make sub 0 in
   for x = 0 to sub - 1 do
     let o = ref 0 in
@@ -1520,7 +1389,6 @@ let apply_cluster st (u : Complex.t array array) (qs : int array) =
     done;
     offs.(x) <- !o
   done;
-  let kind = classify_cluster u sub in
   let checked = !checked_access_ref in
   if not (sharded st) then begin
     let groups = dim st lsr m in
@@ -1539,111 +1407,63 @@ let apply_cluster st (u : Complex.t array array) (qs : int array) =
   end
   else cluster_sweep_sharded st ~checked ~kind ~ps ~offs ~sub
 
-let is_diag4 (u : Complex.t array array) =
-  let ok = ref true in
-  for i = 0 to 3 do
-    for j = 0 to 3 do
-      if i <> j && not (u.(i).(j).Complex.re = 0.0 && u.(i).(j).Complex.im = 0.0)
-      then ok := false
-    done
-  done;
-  !ok
+let apply_cluster st (u : Complex.t array array) (qs : int array) =
+  let op = "Statevector.apply_cluster" in
+  let ps = sweep_positions ~op st qs in
+  let m = Array.length qs in
+  let sub = 1 lsl m in
+  if Array.length u <> sub then
+    Sim_error.error ~op "%d-qubit cluster needs a %dx%d matrix, got %dx%d" m
+      sub sub (Array.length u) (Array.length u);
+  sweep st (classify_cluster u sub) qs ps
 
-let is_monomial4 (u : Complex.t array array) =
-  let zero (z : Complex.t) = z.Complex.re = 0.0 && z.Complex.im = 0.0 in
-  let ok = ref true in
-  for i = 0 to 3 do
-    let row = ref 0 and col = ref 0 in
-    for j = 0 to 3 do
-      if not (zero u.(i).(j)) then incr row;
-      if not (zero u.(j).(i)) then incr col
-    done;
-    if !row <> 1 || !col <> 1 then ok := false
-  done;
-  !ok
+(* apply_2q's first operand is the most significant matrix bit; the
+   sweep's convention is least significant first. *)
+let apply_2q st (u : Complex.t array array) qa qb =
+  let qs = [| qb; qa |] in
+  sweep st (classify_cluster u 4) qs
+    (sweep_positions ~op:"Statevector.apply_2q" st qs)
 
-let apply_mat2 st (u : Complex.t array array) qa qb =
-  if is_diag4 u then
-    apply_diag2 st [| u.(0).(0); u.(1).(1); u.(2).(2); u.(3).(3) |] qa qb
-  else if is_monomial4 u then
-    (* permutation-with-phases (fused CX/SWAP chains): 4 multiplies per
-       group via the monomial cluster path instead of the 16-complex-
-       multiply general kernel. apply_2q's first operand is the most
-       significant matrix bit; the cluster convention is LSB first. *)
-    apply_cluster st u [| qb; qa |]
-  else apply_general2q st u qa qb
+(* The fixed multi-qubit gates' kinds, classified once at module
+   initialisation; sweeps only read them, so Domains share them. The
+   2-qubit ones are {!Gate.matrix_2q}'s (operands [a; b] sweep as
+   [| b; a |]); the 3-qubit permutations take their operands in order,
+   bit 0 first. *)
+let kind_2q g = classify_cluster (Gate.matrix_2q g) 4
 
-(* Compatibility aliases for the historical general-kernel API. *)
-let apply_1q = apply_mat1
-let apply_2q = apply_mat2
+let cy_kind, cz_kind, ch_kind = (kind_2q Gate.Cy, kind_2q Gate.Cz, kind_2q Gate.Ch)
 
-(* ------------------------------------------------------------------ *)
-(* Three-qubit permutation kernels                                      *)
+let perm3_kind f =
+  classify_cluster
+    (Array.init 8 (fun r ->
+         Array.init 8 (fun c -> if f c = r then Complex.one else Complex.zero)))
+    8
 
-(* Toffoli: swap the target pair where both controls are set; visits
-   size/8 loop iterations. *)
-let apply_ccx st c1 c2 tgt =
-  check_qubit st c1;
-  check_qubit st c2;
-  check_qubit st tgt;
-  if c1 = c2 || c1 = tgt || c2 = tgt then
-    Sim_error.error ~op:"Statevector.apply_ccx" "identical qubits";
-  let b1 = 1 lsl c1 and b2 = 1 lsl c2 and bt = 1 lsl tgt in
-  let p0, p1, p2 = sort3 c1 c2 tgt in
-  if sharded st then
-    sh_perm st ~ps:[| p0; p1; p2 |] ~oa:(b1 lor b2) ~ob:(b1 lor b2 lor bt)
-  else begin
-    let eighth = dim st / 8 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:eighth (fun lo hi ->
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero (insert_zero k p0) p1) p2 in
-          let i0 = i lor b1 lor b2 in
-          let i1 = i0 lor bt in
-          if checked then assert (i1 < Ba.dim re);
-          let tr = bget re i0 and ti = bget im i0 in
-          bset re i0 (bget re i1);
-          bset im i0 (bget im i1);
-          bset re i1 tr;
-          bset im i1 ti
-        done)
-  end
+(* CCX [c1; c2; t]: flip bit 2 where bits 0 and 1 are set. *)
+let ccx_kind = perm3_kind (fun x -> if x land 3 = 3 then x lxor 4 else x)
 
-(* Fredkin: swap amplitudes of |..a=1,b=0..> and |..a=0,b=1..> when the
-   control is set. *)
-let apply_cswap st c a b =
-  check_qubit st c;
-  check_qubit st a;
-  check_qubit st b;
-  if c = a || c = b || a = b then
-    Sim_error.error ~op:"Statevector.apply_cswap" "identical qubits";
-  let bc = 1 lsl c and ba = 1 lsl a and bb = 1 lsl b in
-  let p0, p1, p2 = sort3 c a b in
-  if sharded st then
-    sh_perm st ~ps:[| p0; p1; p2 |] ~oa:(bc lor ba) ~ob:(bc lor bb)
-  else begin
-    let eighth = dim st / 8 in
-    let re = st.re.(0) and im = st.im.(0) in
-    let checked = !checked_access_ref in
-    Dpool.run ~size:eighth (fun lo hi ->
-        for k = lo to hi - 1 do
-          let i = insert_zero (insert_zero (insert_zero k p0) p1) p2 in
-          let i0 = i lor bc lor ba in
-          let i1 = i lor bc lor bb in
-          if checked then assert (i0 < Ba.dim re && i1 < Ba.dim re);
-          let tr = bget re i0 and ti = bget im i0 in
-          bset re i0 (bget re i1);
-          bset im i0 (bget im i1);
-          bset re i1 tr;
-          bset im i1 ti
-        done)
-  end
+(* CSWAP [c; a; b]: exchange bits 1 and 2 where bit 0 is set. *)
+let cswap_kind =
+  perm3_kind (fun x ->
+      if x land 1 = 1 && (x lsr 1) land 1 <> (x lsr 2) land 1 then x lxor 6
+      else x)
 
 (* ------------------------------------------------------------------ *)
 (* Gate dispatch                                                        *)
 
 let expi_pair t = (cos t, sin t)
+
+let sweep_gate st (g : Gate.t) qs =
+  let kind =
+    match g with
+    | Gate.Cy -> cy_kind
+    | Gate.Cz -> cz_kind
+    | Gate.Ch -> ch_kind
+    | Gate.Ccx -> ccx_kind
+    | Gate.Cswap -> cswap_kind
+    | _ -> kind_2q g
+  in
+  sweep st kind qs (sweep_positions ~op:"Statevector.apply" st qs)
 
 let apply st (g : Gate.t) qubits =
   match g, qubits with
@@ -1674,16 +1494,14 @@ let apply st (g : Gate.t) qubits =
     let ct = cos (t /. 2.0) and stn = sin (t /. 2.0) in
     apply_real1q st ~u00:ct ~u01:(-.stn) ~u10:stn ~u11:ct q
   | (Gate.Sx | Gate.Sxdg | Gate.Rx _ | Gate.U _), [ q ] ->
-    apply_mat1 st (Gate.matrix_1q g) q
+    apply_1q st (Gate.matrix_1q g) q
   | Gate.Cx, [ c; t ] -> apply_cx st c t
-  | Gate.Cy, [ c; t ] -> apply_cy st c t
   | Gate.Swap, [ a; b ] -> apply_swap st a b
-  | (Gate.Cz | Gate.Cp _ | Gate.Crz _), [ a; b ] ->
-    apply_mat2 st (Gate.matrix_2q g) a b
-  | (Gate.Ch | Gate.Crx _ | Gate.Cry _ | Gate.Cu _), [ a; b ] ->
-    apply_general2q st (Gate.matrix_2q g) a b
-  | Gate.Ccx, [ a; b; c ] -> apply_ccx st a b c
-  | Gate.Cswap, [ a; b; c ] -> apply_cswap st a b c
+  | ( ( Gate.Cy | Gate.Cz | Gate.Ch | Gate.Cp _ | Gate.Crz _ | Gate.Crx _
+      | Gate.Cry _ | Gate.Cu _ ),
+      [ a; b ] ) ->
+    sweep_gate st g [| b; a |]
+  | (Gate.Ccx | Gate.Cswap), [ a; b; c ] -> sweep_gate st g [| a; b; c |]
   | g, qs ->
     Sim_error.error ~op:"Statevector.apply" "%s expects %d qubits, got %d"
       (Gate.name g) (Gate.num_qubits g) (List.length qs)

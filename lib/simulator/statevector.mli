@@ -7,14 +7,16 @@
 
     Registers up to {!max_local_bits} qubits live in one flat pair of
     re/im arrays; larger ones are sharded into contiguous slices that
-    the {!Dpool} Domain pool can own wholesale. Gate kernels are
-    specialized by matrix structure (permutation / diagonal / real /
-    general), enumerate only the index subspace they touch (size/2 for
-    1q gates, size/4 for 2q, size/8 for CCX), and split their ranges
-    across the pool when the register exceeds the parallel threshold;
-    {!apply_cluster} executes a whole fused gate cluster in one pass.
-    The seed's naive full-scan kernels are kept in {!Reference} as the
-    correctness oracle and benchmark baseline. *)
+    the {!Dpool} Domain pool can own wholesale. 1-qubit gates, CX and
+    SWAP have kernels specialized by matrix structure (permutation /
+    diagonal / real / general) that enumerate only the index subspace
+    they touch (size/2 for 1q gates, size/4 for CX and SWAP). Every
+    other gate, and every matrix given to {!apply_2q} or
+    {!apply_cluster}, is classified as diagonal, monomial or sparse and
+    applied in one sweep over groups of 2^m amplitudes. Both families
+    split their ranges across the pool when the register exceeds the
+    parallel threshold. The seed's naive full-scan kernels are kept in
+    {!Reference} as the correctness oracle and benchmark baseline. *)
 
 type t
 
@@ -82,7 +84,8 @@ val apply_1q : t -> Complex.t array array -> int -> unit
 
 val apply_2q : t -> Complex.t array array -> int -> int -> unit
 (** Applies an arbitrary 4x4 unitary; the first qubit is the most
-    significant bit of the matrix basis. *)
+    significant bit of the matrix basis. Runs on {!apply_cluster}'s
+    classified sweep. *)
 
 val apply_cluster : t -> Complex.t array array -> int array -> unit
 (** [apply_cluster st u qs] applies the [2^m x 2^m] unitary [u] over
@@ -90,7 +93,9 @@ val apply_cluster : t -> Complex.t array array -> int array -> unit
     Matrix basis bit [j] corresponds to [qs.(j)], least significant
     first (the opposite of {!apply_2q}'s operand convention). Diagonal
     and monomial (permutation-with-phases) matrices take constant-work
-    fast paths; dense matrices pay the full matvec per group. *)
+    fast paths, and a pure permutation moves amplitudes without
+    arithmetic; other matrices pay a sparse matvec over their exact
+    nonzeros per group. *)
 
 val prob_one : t -> int -> float
 (** Probability that measuring qubit [q] yields 1 (non-destructive).

@@ -1,14 +1,14 @@
 (* Exact density-matrix simulator: the state is a 2^n x 2^n Hermitian
    matrix rho, gates act as rho -> U rho U+, and noise channels apply
-   exactly (no trajectory sampling) — the reference against which the
-   stochastic {!Noise} model is validated, and a third backend
-   demonstrating the runtime's backend-agnosticism on mixed states.
+   exactly (no trajectory sampling) — the test-only reference against
+   which the stochastic {!Qsim.Noise} model is validated.
 
    Memory is 2 * (2^n)^2 doubles: practical to ~10 qubits. Row-major
    storage; index (r, c) of the matrix over basis states, qubit [q] is
-   bit [q] of a basis index (as in {!Statevector}). *)
+   bit [q] of a basis index (as in {!Qsim.Statevector}). *)
 
 open Qcircuit
+open Qsim
 
 type t = {
   mutable n : int;

@@ -1,7 +1,9 @@
 (* Shard/cluster differential smoke: the Bigarray-backed storage
    layout, its sharding and the cluster-fusion pass must be observably
-   invisible. 100 fuzzed circuits (random and feedback workloads,
-   parametric and Clifford) execute per shot under seven engine
+   invisible. 140 fuzzed circuits (random and feedback workloads,
+   parametric and Clifford, plus circuits drawn from the whole gate
+   vocabulary: CY, CH, CRX/CRY/CRZ, CU, CCX and CSWAP among them)
+   execute per shot under seven engine
    configurations with identical seeds — specialized-flat,
    reference-flat, cluster-fused flat, cluster-fused sharded,
    specialized sharded, reference sharded (the two-level slice
@@ -18,7 +20,7 @@
 open Qcircuit
 module Sv = Qsim.Statevector
 
-let circuits = 100
+let circuits = 140
 let shots = 12
 let failures = ref 0
 
@@ -73,15 +75,59 @@ let histogram (run : ?seed:int -> Circuit.t -> Sv.t * bool array) c seed =
 let hist_to_string h =
   String.concat ";" (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) h)
 
+(* Every gate of the vocabulary, random angles and operands: the
+   generator the other workloads lack (they draw only CX/CZ/CP/SWAP
+   and the Clifford+T and rotation 1q gates). *)
+let full_vocabulary ~seed ~gates n =
+  let rng = Rng.create seed in
+  let angle () = Rng.float rng *. 2.0 *. Float.pi in
+  let pool =
+    [|
+      (fun () -> Gate.I); (fun () -> Gate.H); (fun () -> Gate.X);
+      (fun () -> Gate.Y); (fun () -> Gate.Z); (fun () -> Gate.S);
+      (fun () -> Gate.Sdg); (fun () -> Gate.T); (fun () -> Gate.Tdg);
+      (fun () -> Gate.Sx); (fun () -> Gate.Sxdg);
+      (fun () -> Gate.Rx (angle ())); (fun () -> Gate.Ry (angle ()));
+      (fun () -> Gate.Rz (angle ())); (fun () -> Gate.P (angle ()));
+      (fun () -> Gate.U (angle (), angle (), angle ()));
+      (fun () -> Gate.Cx); (fun () -> Gate.Cy); (fun () -> Gate.Cz);
+      (fun () -> Gate.Ch); (fun () -> Gate.Swap);
+      (fun () -> Gate.Crx (angle ())); (fun () -> Gate.Cry (angle ()));
+      (fun () -> Gate.Crz (angle ())); (fun () -> Gate.Cp (angle ()));
+      (fun () -> Gate.Cu (angle (), angle (), angle ()));
+      (fun () -> Gate.Ccx); (fun () -> Gate.Cswap);
+    |]
+  in
+  let b = Circuit.Build.create ~num_qubits:n ~num_clbits:n () in
+  for _ = 1 to gates do
+    let g = pool.(Rng.int rng (Array.length pool)) () in
+    (* distinct operands: a random prefix of a shuffled register *)
+    let qs = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Rng.int rng (i + 1) in
+      let t = qs.(i) in
+      qs.(i) <- qs.(j);
+      qs.(j) <- t
+    done;
+    Circuit.Build.gate b g (Array.to_list (Array.sub qs 0 (Gate.num_qubits g)))
+  done;
+  for q = 0 to n - 1 do
+    Circuit.Build.measure b q q
+  done;
+  Circuit.Build.finish b
+
 (* ------------------------------------------------------------------ *)
-(* 1. fuzzed corpus under five engine configurations                     *)
+(* 1. fuzzed corpus under seven engine configurations                    *)
 
 let fuzzed_corpus () =
   for i = 0 to circuits - 1 do
     let seed = 6000 + (i * 100) in
     let n = 2 + (i mod 7) in
     let c =
-      if i mod 9 = 0 then Generate.feedback_rounds ~rounds:(1 + (i mod 3)) n
+      if i >= 100 then
+        full_vocabulary ~seed ~gates:(10 + (i mod 4 * 10)) (max 3 n)
+      else if i mod 9 = 0 then
+        Generate.feedback_rounds ~rounds:(1 + (i mod 3)) n
       else
         with_measurements
           (Generate.random ~seed ~parametric:(i mod 2 = 0)

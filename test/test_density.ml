@@ -4,6 +4,7 @@
 
 open Qcircuit
 open Qsim
+open Oracle
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool

@@ -384,6 +384,13 @@ let with_local_bits bits f =
   Sv.set_max_local_bits bits;
   Fun.protect f ~finally:(fun () -> Sv.set_max_local_bits b0)
 
+(* Every specialized kernel on a register split into 8-amplitude
+   shards: operands below, across and above the boundary. *)
+let test_kernels_vs_reference_sharded () =
+  with_local_bits 3 (fun () ->
+      check int_t "5 qubits span 4 shards" 4 (Sv.shard_count (Sv.create 5));
+      test_kernels_vs_reference ())
+
 (* Cluster-fused execution on a sharded state vs the flat naive
    reference: same amplitudes (<= 1e-12) and the same classical bits,
    over random 2..14-qubit circuits and every cluster width. *)
@@ -612,6 +619,8 @@ let suite =
   [
     Alcotest.test_case "specialized kernels vs reference" `Quick
       test_kernels_vs_reference;
+    Alcotest.test_case "specialized kernels vs reference (sharded)" `Quick
+      test_kernels_vs_reference_sharded;
     Alcotest.test_case "random circuits vs reference" `Quick
       test_random_circuits_vs_reference;
     Alcotest.test_case "fusion vs reference" `Quick test_fusion_vs_reference;

@@ -6,6 +6,7 @@ let () =
       ("circuit", Test_circuit.suite);
       ("simulator", Test_simulator.suite);
       ("engine", Test_engine.suite);
+      ("kernels", Test_kernels.suite);
       ("qir", Test_qir.suite);
       ("analysis", Test_analysis.suite);
       ("runtime", Test_runtime.suite);
