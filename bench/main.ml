@@ -1564,11 +1564,11 @@ let e12 () =
         let name = Printf.sprintf "%df/%dq" nfuncs qubits in
         let t_sum =
           Harness.time_ns (name ^ " summaries") (fun () ->
-              let cg = Qir_analysis.Call_graph.build m in
-              ignore (Qir_analysis.Summary.of_module ~call_graph:cg m))
+              ignore (Qir_analysis.Facts.(summaries (of_module m))))
         in
         let analyses =
-          Qir_analysis.Const_addr.(analyses (analyze_module m))
+          Qir_analysis.(
+            Const_addr.analyses (Facts.const_facts (Facts.of_module m)))
         in
         let t_ipo =
           Harness.time_ns (name ^ " ipo") (fun () ->
@@ -2076,7 +2076,7 @@ let e17 () =
             let name = Printf.sprintf "%dq/%dg %s" n gates style in
             let t =
               Harness.time_ns name (fun () ->
-                  ignore (Qir_analysis.Resource.certify m))
+                  ignore Qir_analysis.(Resource.certify (Facts.of_module m)))
             in
             Harness.row "  %-28s %8d %12s %12s@\n" name instrs
               (Harness.ns_to_string t)
@@ -2091,7 +2091,7 @@ let e17 () =
   let rejected = function Error _ -> () | Ok _ -> assert false in
   let t_cert =
     Harness.time_ns "cert-reject" (fun () ->
-        let cert = Qir_analysis.Resource.certify tall in
+        let cert = Qir_analysis.(Resource.certify (Facts.of_module tall)) in
         rejected
           (Qservice.Admission.check ~cert ~budget ~backend:`Statevector tall))
   in

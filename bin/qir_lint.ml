@@ -58,9 +58,11 @@ let run input format werror notes ipo call_graph resources qubit_cap deadline
           }
       else None
     in
-    let ds = Qir_analysis.Lint.run ~notes ~ipo ?resources:ropts m in
+    (* the lint and the printed certificate share one set of facts *)
+    let facts = Qir_analysis.Facts.of_module m in
+    let ds = Qir_analysis.Lint.check ~notes ~ipo ?resources:ropts facts in
     (if resources then
-       let cert = Qir_analysis.Resource.certify m in
+       let cert = Qir_analysis.Resource.certify facts in
        match format with
        | `Text ->
          Format.printf "%a" Qir_analysis.Diagnostic.render_text ds;

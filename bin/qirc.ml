@@ -55,9 +55,10 @@ let run input passes lower optimize opt_quantum check addressing emit verify
         errs;
       exit (Qruntime.Qir_error.exit_code (List.hd errs))
   end;
-  (* 5. lint *)
+  (* 5. lint; the lint and the certificate share one set of facts *)
+  let facts = Qir_analysis.Facts.of_module m in
   if lint then begin
-    let ds = Qir_analysis.Lint.run m in
+    let ds = Qir_analysis.Lint.check facts in
     Format.eprintf "%a" Qir_analysis.Diagnostic.render_text ds;
     let failing =
       List.exists
@@ -78,7 +79,7 @@ let run input passes lower optimize opt_quantum check addressing emit verify
      emitted program on stdout stays clean. Errors (QR001 with a
      proven bound over the cap) fail like --lint. *)
   if resources then begin
-    let cert = Qir_analysis.Resource.certify m in
+    let cert = Qir_analysis.Resource.certify facts in
     let opts =
       {
         Qir_analysis.Resource_lint.default_opts with

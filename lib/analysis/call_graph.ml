@@ -144,6 +144,22 @@ let func t name = Hashtbl.find_opt t.funcs name
 let callees t f = Option.value ~default:[] (SMap.find_opt f t.edges)
 let external_callees t f = Option.value ~default:[] (SMap.find_opt f t.externals)
 let sccs_bottom_up t = t.sccs
+
+(* Folds [f] over the defined functions callees-first, telling it
+   whether each one sits in a recursive component. *)
+let fold_bottom_up t f init =
+  List.fold_left
+    (fun acc scc ->
+      let recursive =
+        match scc with [ name ] -> SSet.mem name t.recursive | _ -> true
+      in
+      List.fold_left
+        (fun acc name ->
+          match Hashtbl.find_opt t.funcs name with
+          | Some fn -> f acc ~recursive fn
+          | None -> acc)
+        acc scc)
+    init t.sccs
 let is_recursive t f = SSet.mem f t.recursive
 let entry_name t = t.entry
 let is_reachable t f = SSet.mem f t.reachable

@@ -254,6 +254,7 @@ let block_reached (facts : facts) label = Cfg.SSet.mem label facts.reached_block
    rest on optimism nobody justified. *)
 
 type module_facts = {
+  m : Ir_module.t;  (* the module the facts describe *)
   per_func : (string, facts) Hashtbl.t;
   param_lats : (string, clat array) Hashtbl.t;
   analyses : int;  (* function analyses the fixpoint ran *)
@@ -265,10 +266,8 @@ let func_facts (mf : module_facts) name =
 let param_lattices (mf : module_facts) name = Hashtbl.find_opt mf.param_lats name
 let analyses (mf : module_facts) = mf.analyses
 
-let analyze_module ?call_graph (m : Ir_module.t) : module_facts =
-  let cg =
-    match call_graph with Some cg -> cg | None -> Call_graph.build m
-  in
+let analyze_module (cg : Call_graph.t) : module_facts =
+  let m = cg.Call_graph.m in
   let defined = Ir_module.defined_funcs m in
   let is_root (f : Func.t) =
     match Call_graph.entry_name cg with
@@ -329,7 +328,7 @@ let analyze_module ?call_graph (m : Ir_module.t) : module_facts =
         ignore (reanalyze f)
       end)
     defined;
-  { per_func; param_lats; analyses = !analyses }
+  { m; per_func; param_lats; analyses = !analyses }
 
 (* Is this operand, used at a qubit/result position, a proved-constant
    address that is *not* already spelled as one? *)
@@ -353,10 +352,7 @@ type summary = {
   dynamic : int;
 }
 
-let fold_quantum_args ?module_facts (m : Ir_module.t) init k =
-  let mf =
-    match module_facts with Some mf -> mf | None -> analyze_module m
-  in
+let fold_quantum_args (mf : module_facts) init k =
   List.fold_left
     (fun acc (f : Func.t) ->
       if Func.is_declaration f then acc
@@ -386,10 +382,10 @@ let fold_quantum_args ?module_facts (m : Ir_module.t) init k =
                 acc b.Block.instrs)
           acc f.Func.blocks
       end)
-    init m.Ir_module.funcs
+    init mf.m.Ir_module.funcs
 
-let summarize ?module_facts (m : Ir_module.t) : summary =
-  fold_quantum_args ?module_facts m
+let summarize (mf : module_facts) : summary =
+  fold_quantum_args mf
     { total_args = 0; syntactic_static = 0; proved_static = 0; dynamic = 0 }
     (fun acc facts _f _b _i (a : Operand.typed) ->
       let acc = { acc with total_args = acc.total_args + 1 } in
@@ -404,11 +400,10 @@ let summarize ?module_facts (m : Ir_module.t) : summary =
 (* Rewrites every proved-constant qubit/result operand into its constant
    spelling. Returns the module and the number of upgraded operands; the
    address computations left behind are dead and fall to plain DCE. *)
-let rewrite (m : Ir_module.t) : Ir_module.t * int =
+let rewrite (mf : module_facts) : Ir_module.t * int =
   let upgraded = ref 0 in
-  let mf = analyze_module m in
   let m' =
-    Ir_module.map_funcs m (fun f ->
+    Ir_module.map_funcs mf.m (fun f ->
         if Func.is_declaration f then f
         else begin
           let facts = func_facts mf f.Func.name in
@@ -455,9 +450,9 @@ let rewrite (m : Ir_module.t) : Ir_module.t * int =
 
 (* QA001 notes for the lint driver: addresses that look dynamic but are
    proved static. *)
-let notes ?module_facts (m : Ir_module.t) : Diagnostic.t list =
+let notes (mf : module_facts) : Diagnostic.t list =
   List.rev
-    (fold_quantum_args ?module_facts m []
+    (fold_quantum_args mf []
        (fun acc facts f b i (a : Operand.typed) ->
          match proved_address facts a.Operand.v with
          | Some c ->

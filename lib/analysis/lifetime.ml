@@ -28,44 +28,19 @@
    static results a caller may have measured) are scoped accordingly. *)
 
 open Llvm_ir
-module TMap = Map.Make (Int)
 module ISet = Set.Make (Int)
 
-module RSet = Set.Make (struct
-  type t = Value_track.rref
+(* The fact domain is the summary engine's pass B: per-site release
+   states joined pointwise (a site absent on one side keeps the other
+   side's state — it is simply not allocated on that path), plus the
+   may-measured results. *)
+module TMap = Summary.TMap
+module RSet = Summary.RSet
 
-  let compare = compare
-end)
+type qstate = Summary.qstate = Live | Released | Maybe_released
 
-type qstate = Live | Released | Maybe_released
-
-let join_qstate a b =
-  match a, b with
-  | Live, Live -> Live
-  | Released, Released -> Released
-  | _ -> Maybe_released
-
-module Fact = struct
-  type t = { q : qstate TMap.t; measured : RSet.t; all_measured : bool }
-
-  let bottom = { q = TMap.empty; measured = RSet.empty; all_measured = false }
-
-  let equal a b =
-    TMap.equal ( = ) a.q b.q
-    && RSet.equal a.measured b.measured
-    && a.all_measured = b.all_measured
-
-  (* Pointwise join; a site absent on one side keeps the other side's
-     state (the site is simply not allocated on that path). *)
-  let join a b =
-    {
-      q = TMap.union (fun _ sa sb -> Some (join_qstate sa sb)) a.q b.q;
-      measured = RSet.union a.measured b.measured;
-      all_measured = a.all_measured || b.all_measured;
-    }
-end
-
-module Engine = Dataflow.Forward (Fact)
+module Fact = Summary.Fact
+module Engine = Summary.Engine
 
 type finding = Diagnostic.t
 
@@ -133,36 +108,13 @@ let release ctx label callee (fact : Fact.t) site =
   | Some (Live | Maybe_released) | None ->
     { fact with Fact.q = TMap.add site Released fact.Fact.q }
 
-let measure (fact : Fact.t) (r : Value_track.rref) =
-  match r with
-  | Value_track.RUnknown -> { fact with Fact.all_measured = true }
-  | r -> { fact with Fact.measured = RSet.add r fact.Fact.measured }
+let measure = Summary.measure
 
 let transfer_call ctx label (fact : Fact.t) id callee
     (args : Operand.typed list) : Fact.t =
   let open Names in
-  let kinds =
-    match Signatures.find callee with
-    | Some s when List.length s.Signatures.args = List.length args ->
-      List.combine s.Signatures.args args
-    | _ -> []
-  in
-  let qubit_args =
-    List.filter_map
-      (fun (k, (a : Operand.typed)) ->
-        match k with
-        | Signatures.Qubit -> Some (Value_track.qubit_of ctx.vt a.Operand.v)
-        | _ -> None)
-      kinds
-  in
-  let result_args =
-    List.filter_map
-      (fun (k, (a : Operand.typed)) ->
-        match k with
-        | Signatures.Result -> Some (Value_track.result_of ctx.vt a.Operand.v)
-        | _ -> None)
-      kinds
-  in
+  let qubit_args = Summary.qubit_args_of ctx.vt callee args in
+  let result_args = Summary.result_args_of ctx.vt callee args in
   (* every qubit consumed by a quantum call is a use — except by the
      release itself, which gets the sharper QL002 below *)
   if
@@ -228,7 +180,7 @@ let transfer_summarized ctx label (fact : Fact.t) id callee
       List.fold_left
         (fun (fact : Fact.t) (a : Operand.typed) ->
           match site_token (Value_track.qubit_of ctx.vt a.Operand.v) with
-          | Some t -> { fact with Fact.q = TMap.remove t fact.Fact.q }
+          | Some t -> Summary.untrack fact t
           | None -> fact)
         fact args
     in
@@ -268,11 +220,7 @@ let transfer_summarized ctx label (fact : Fact.t) id callee
         | None -> fact
         | Some t ->
           if fx.Summary.fx_released then release ctx label callee fact t
-          else if fx.Summary.fx_may_release then begin
-            match TMap.find_opt t fact.Fact.q with
-            | Some Released -> fact
-            | _ -> { fact with Fact.q = TMap.add t Maybe_released fact.Fact.q }
-          end
+          else if fx.Summary.fx_may_release then Summary.set_maybe_released fact t
           else fact
       end
     in
@@ -347,18 +295,15 @@ let returned_sites_of vt (f : Func.t) =
       | _ -> acc)
     ISet.empty f.Func.blocks
 
-let check_func ?(summaries : Summary.table = Hashtbl.create 0) ?(is_entry = true)
-    (f : Func.t) : finding list =
+let check_func (facts : Facts.t) ~is_entry (f : Func.t) : finding list =
   if Func.is_declaration f then []
   else begin
-    let vt =
-      Value_track.of_func ~fresh_fns:(Summary.fresh_fns_of summaries) f
-    in
+    let vt = Facts.track facts f in
     let silent =
       {
         vt;
         fname = f.Func.name;
-        summaries;
+        summaries = Facts.summaries facts;
         is_entry;
         returned_sites = returned_sites_of vt f;
         emit = ignore;
@@ -371,21 +316,7 @@ let check_func ?(summaries : Summary.table = Hashtbl.create 0) ?(is_entry = true
         Engine.term = Engine.uniform_term;
       }
     in
-    (* caller-owned parameters start out live *)
-    let init =
-      List.fold_left
-        (fun (i, fact) (p : Func.param) ->
-          ( i + 1,
-            if Ty.equal p.Func.pty Ty.Ptr then
-              {
-                fact with
-                Fact.q = TMap.add (Summary.param_token i) Live fact.Fact.q;
-              }
-            else fact ))
-        (0, Fact.bottom) f.Func.params
-      |> snd
-    in
-    let res = Engine.solve ~init cfg tf in
+    let res = Engine.solve ~init:(Summary.param_init f) cfg tf in
     let out = ref [] in
     let ctx = { silent with emit = (fun d -> out := d :: !out) } in
     List.iter
@@ -408,10 +339,8 @@ let check_func ?(summaries : Summary.table = Hashtbl.create 0) ?(is_entry = true
 
 (* Whole-module check: every defined function, each against the others'
    summaries. Only the entry point owns the static-result namespace. *)
-let check_module ?summaries (m : Ir_module.t) : finding list =
-  let summaries =
-    match summaries with Some s -> s | None -> Summary.of_module m
-  in
+let check_module (facts : Facts.t) : finding list =
+  let m = facts.Facts.m in
   let entry =
     match Ir_module.entry_point m with
     | Some f when not (Func.is_declaration f) -> Some f.Func.name
@@ -424,5 +353,5 @@ let check_module ?summaries (m : Ir_module.t) : finding list =
         | Some e -> String.equal e f.Func.name
         | None -> false
       in
-      check_func ~summaries ~is_entry f)
+      check_func facts ~is_entry f)
     (Ir_module.defined_funcs m)

@@ -39,49 +39,33 @@ let verifier_findings (m : Ir_module.t) : Diagnostic.t list =
         ~where:v.Verifier.where "%s" v.Verifier.what)
     (Verifier.check_module m)
 
-let run ?(notes = true) ?(ipo = true) ?resources (m : Ir_module.t) :
+(* The lint over one module version's facts: every rule reads the same
+   call graph, constant-address facts and summaries. *)
+let check ?(notes = true) ?(ipo = true) ?resources (facts : Facts.t) :
     Diagnostic.t list =
-  let resource_findings cert_opt =
-    match resources with
-    | None -> []
-    | Some opts ->
-      let cert =
-        match cert_opt with Some c -> c | None -> Resource.certify m
-      in
-      Resource_lint.check ~opts cert
-  in
+  let m = facts.Facts.m in
   match verifier_findings m with
   | _ :: _ as structural -> structural
   | [] ->
-    if ipo then begin
-      (* one call graph and one constant-address fixpoint, shared by
-         the summaries and the QA001 notes *)
-      let cg = Call_graph.build m in
-      let const_facts = Const_addr.analyze_module ~call_graph:cg m in
-      let summaries = Summary.of_module ~call_graph:cg ~const_facts m in
-      Call_graph.findings cg
-      @ Lifetime.check_module ~summaries m
-      @ Quantum_dce.findings ~summaries m
-      @ (if notes then Const_addr.notes ~module_facts:const_facts m else [])
-      @ (if notes then Qdf_opt.notes m else [])
-      @ resource_findings None
-    end
-    else begin
-      (* entry point only, every call opaque: the pre-interprocedural
-         behavior *)
-      let no_summaries : Summary.table = Hashtbl.create 0 in
-      let entry =
-        match Ir_module.entry_point m with
-        | Some f when not (Func.is_declaration f) ->
-          Lifetime.check_func ~summaries:no_summaries ~is_entry:true f
-        | _ -> []
-      in
-      entry
-      @ Quantum_dce.findings ~summaries:no_summaries m
-      @ (if notes then Const_addr.notes m else [])
-      @ (if notes then Qdf_opt.notes m else [])
-      @ resource_findings None
-    end
+    (* without ipo: entry point only, every call to a defined function
+       unknown — the pre-interprocedural behavior *)
+    let facts = if ipo then facts else Facts.without_summaries facts in
+    (if ipo then
+       Call_graph.findings (Facts.call_graph facts) @ Lifetime.check_module facts
+     else
+       match Ir_module.entry_point m with
+       | Some f when not (Func.is_declaration f) ->
+         Lifetime.check_func facts ~is_entry:true f
+       | _ -> [])
+    @ Quantum_dce.findings facts
+    @ (if notes then
+         Const_addr.notes (Facts.const_facts facts) @ Qdf_opt.notes facts
+       else [])
+    @
+    match resources with
+    | None -> []
+    | Some opts -> Resource_lint.check ~opts (Resource.certify facts)
+
+let run ?notes ?ipo ?resources m = check ?notes ?ipo ?resources (Facts.of_module m)
 
 let has_errors ds = Diagnostic.errors ds > 0
-let has_findings ds = ds <> []

@@ -535,20 +535,22 @@ let calls_defined (m : Ir_module.t) (f : Func.t) =
           m.Ir_module.funcs
       | _ -> false)
 
-(* Does [m] have a lifetime error? [entry] calls no defined function,
-   so summaries are consulted only when [m] defines other functions;
-   otherwise the entry's own check is the whole module's. *)
-let lifetime_errors (m : Ir_module.t) (entry : Func.t) =
+(* Does [facts]'s module have a lifetime error? [entry] calls no
+   defined function, so summaries are consulted only when the module
+   defines other functions; otherwise the entry's own check is the
+   whole module's. *)
+let lifetime_errors (facts : Facts.t) (entry : Func.t) =
   let only_entry =
     List.for_all
       (fun (g : Func.t) ->
         Func.is_declaration g || String.equal g.Func.name entry.Func.name)
-      m.Ir_module.funcs
+      facts.Facts.m.Ir_module.funcs
   in
   List.exists
     (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
-    (if only_entry then Lifetime.check_func ~is_entry:true entry
-     else Lifetime.check_module ~summaries:(Summary.of_module m) m)
+    (if only_entry then
+       Lifetime.check_func (Facts.without_summaries facts) ~is_entry:true entry
+     else Lifetime.check_module facts)
 
 (* Lower [m]'s straight-line dynamic entry ([qdf] is its view, [chain]
    its blocks) to static addressing by replaying the runtime allocator's
@@ -852,7 +854,9 @@ let promote (m : Ir_module.t) (qdf : Qdf.t) : (Ir_module.t * int) option =
     match straight_chain entry with
     | None -> None
     | Some chain ->
-      if calls_defined m entry || lifetime_errors m entry then None
+      (* the rewritten module is a new version: it gets its own facts *)
+      if calls_defined m entry || lifetime_errors (Facts.of_module m) entry
+      then None
       else lower m qdf chain
 
 (* ------------------------------------------------------------------ *)
@@ -911,10 +915,11 @@ let run ~emit (m : Ir_module.t) : Ir_module.t * stats =
 
 let optimize (m : Ir_module.t) : Ir_module.t * stats = run ~emit:null_emit m
 
-(* Lint integration: the optimizer's own notes, in rewrite order. *)
-let notes (m : Ir_module.t) : Diagnostic.t list =
+(* Lint integration: the optimizer's own notes on [facts]'s module, in
+   rewrite order. *)
+let notes (facts : Facts.t) : Diagnostic.t list =
   let acc = ref [] in
-  ignore (run ~emit:(fun d -> acc := d :: !acc) m);
+  ignore (run ~emit:(fun d -> acc := d :: !acc) facts.Facts.m);
   List.rev !acc
 
 let mrun (m : Ir_module.t) =

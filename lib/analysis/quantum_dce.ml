@@ -126,17 +126,7 @@ let step ~summaries ~used vt (i : Instr.t) (fact : Fact.t) :
   match i.Instr.op with
   | Instr.Call (_, callee, args) when Names.is_quantum callee -> (
     let open Names in
-    let qubit_args =
-      match Signatures.find callee with
-      | Some s when List.length s.Signatures.args = List.length args ->
-        List.filter_map
-          (fun (kind, (a : Operand.typed)) ->
-            match kind with
-            | Signatures.Qubit -> Some (Value_track.qubit_of vt a.Operand.v)
-            | _ -> None)
-          (List.combine s.Signatures.args args)
-      | _ -> []
-    in
+    let qubit_args = Summary.qubit_args_of vt callee args in
     let unresolved = List.mem Value_track.QUnknown qubit_args in
     if String.equal callee qis_mz || String.equal callee qis_m then
       (`Keep, if unresolved then Fact.All else add_all qubit_args fact)
@@ -209,13 +199,10 @@ type result = {
   dead : (string * Instr.t) list;  (* (block label, instruction) *)
 }
 
-let analyze_func ?(summaries : Summary.table = Hashtbl.create 0) (f : Func.t) :
-    result =
+let analyze_func (facts : Facts.t) (f : Func.t) : result =
   if Func.is_declaration f then { dead = [] }
   else begin
-    let vt =
-      Value_track.of_func ~fresh_fns:(Summary.fresh_fns_of summaries) f
-    in
+    let summaries = Facts.summaries facts and vt = Facts.track facts f in
     let used = used_names f in
     let cfg = Cfg.of_func f in
     let tf =
@@ -242,17 +229,14 @@ let analyze_func ?(summaries : Summary.table = Hashtbl.create 0) (f : Func.t) :
     { dead = !dead }
   end
 
-let analyze ?summaries (m : Ir_module.t) : result =
-  let summaries =
-    match summaries with Some s -> s | None -> Summary.of_module m
-  in
-  match Ir_module.entry_point m with
-  | Some f when not (Func.is_declaration f) -> analyze_func ~summaries f
+let analyze (facts : Facts.t) : result =
+  match Ir_module.entry_point facts.Facts.m with
+  | Some f when not (Func.is_declaration f) -> analyze_func facts f
   | _ -> { dead = [] }
 
-let findings ?summaries (m : Ir_module.t) : Diagnostic.t list =
+let findings (facts : Facts.t) : Diagnostic.t list =
   let entry_name =
-    match Ir_module.entry_point m with
+    match Ir_module.entry_point facts.Facts.m with
     | Some f -> f.Func.name
     | None -> "main"
   in
@@ -268,7 +252,7 @@ let findings ?summaries (m : Ir_module.t) : Diagnostic.t list =
         Diagnostic.make ~rule:"QD001" ~severity:Diagnostic.Warning ~where
           "'%s' affects no measured or recorded qubit"
           (Printer.instr_to_string i))
-    (analyze ?summaries m).dead
+    (analyze facts).dead
 
 (* ------------------------------------------------------------------ *)
 (* The quantum-dce pass: dead entry instructions plus defined functions
@@ -293,17 +277,16 @@ let remove_dead_instrs (f : Func.t) (dead : (string * Instr.t) list) : Func.t =
   Func.replace_blocks f blocks
 
 let mrun (m : Ir_module.t) : Ir_module.t * bool =
-  let cg = Call_graph.build m in
-  let summaries = Summary.of_module ~call_graph:cg m in
+  let facts = Facts.of_module m in
   let m, changed_funcs =
     match Ir_module.entry_point m with
     | Some f when not (Func.is_declaration f) -> (
-      match (analyze_func ~summaries f).dead with
+      match (analyze_func facts f).dead with
       | [] -> (m, false)
       | dead -> (Ir_module.replace_func m (remove_dead_instrs f dead), true))
     | _ -> (m, false)
   in
-  match Call_graph.unreachable_defined cg with
+  match Call_graph.unreachable_defined (Facts.call_graph facts) with
   | [] -> (m, changed_funcs)
   | unreachable ->
     let funcs =

@@ -816,31 +816,14 @@ let analyze_func env (f : Func.t) : fsum =
 (* Bottom-up over the call-graph condensation, exactly like
    {!Summary.of_module}: non-recursive functions see their callees'
    finished summaries; recursive SCCs get the opaque top. *)
-let summarize ?call_graph (m : Ir_module.t) : fsum SMap.t =
-  let cg =
-    match call_graph with Some cg -> cg | None -> Call_graph.build m
-  in
-  List.fold_left
-    (fun env scc ->
-      let recursive =
-        match scc with
-        | [ fname ] -> Call_graph.is_recursive cg fname
-        | _ -> true
-      in
-      List.fold_left
-        (fun env fname ->
-          match Call_graph.func cg fname with
-          | Some f ->
-            let s =
-              if recursive then
-                opaque_fsum fname (List.length f.Func.params)
-              else analyze_func env f
-            in
-            SMap.add fname s env
-          | None -> env)
-        env scc)
+let summarize (cg : Call_graph.t) : fsum SMap.t =
+  Call_graph.fold_bottom_up cg
+    (fun env ~recursive (f : Func.t) ->
+      SMap.add f.Func.name
+        (if recursive then opaque_fsum f.Func.name (List.length f.Func.params)
+         else analyze_func env f)
+        env)
     SMap.empty
-    (Call_graph.sccs_bottom_up cg)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-program certificates                                          *)
@@ -872,8 +855,9 @@ let declared_qubits (f : Func.t) =
    output keeps loop counters in memory, where no trip count is
    recognizable) and constant folding canonicalizes the bounds. Both
    passes are semantics-preserving, so bounds proved on the shadow hold
-   for the original program; the caller's module is never mutated. *)
-let normalize (m : Ir_module.t) : Ir_module.t =
+   for the original program; the caller's module is never mutated.
+   Returns the shadow and whether either pass changed anything. *)
+let normalize (m : Ir_module.t) : Ir_module.t * bool =
   Passes.Pass.run_once
     [
       Passes.Pass.of_func_pass Passes.Mem2reg.pass;
@@ -881,11 +865,10 @@ let normalize (m : Ir_module.t) : Ir_module.t =
     ]
     m
 
-let certify ?call_graph (m : Ir_module.t) : t =
-  let source_name = m.Ir_module.source_name in
-  let m = normalize m in
-  let m = { m with Ir_module.source_name } in
-  let table = summarize ?call_graph m in
+(* The certificate of [cg]'s module, taken as already normalized. *)
+let of_call_graph (cg : Call_graph.t) : t =
+  let m = cg.Call_graph.m in
+  let table = summarize cg in
   let entry = Ir_module.entry_point m in
   let declared = match entry with Some f -> declared_qubits f | None -> 0 in
   let esum =
@@ -923,6 +906,18 @@ let certify ?call_graph (m : Ir_module.t) : t =
     opaque = esum.opaque;
     functions;
   }
+
+(* When normalization changes nothing the shadow is the module itself,
+   and certification reads the shared call graph; otherwise the shadow
+   gets its own. *)
+let certify (facts : Facts.t) : t =
+  let m = facts.Facts.m in
+  match normalize m with
+  | _, false -> of_call_graph (Facts.call_graph facts)
+  | shadow, true ->
+    of_call_graph
+      (Call_graph.build
+         { shadow with Ir_module.source_name = m.Ir_module.source_name })
 
 (* Footprint-style helpers for the service tier. *)
 let qubits_upper cert = finite cert.qubits.hi

@@ -124,6 +124,10 @@ let quantum_free s =
 
 type table = (string, t) Hashtbl.t
 
+(* The value track each summary was computed on, by function name, with
+   the body it describes. *)
+type tracks = (string, Func.t * Value_track.t) Hashtbl.t
+
 let find (table : table) name = Hashtbl.find_opt table name
 
 let fresh_fns_of (table : table) name =
@@ -148,8 +152,9 @@ type flags = {
   a_used : bool array;
 }
 
-(* mirrors Qhybrid.Partition.controller_supports, plus calls to defined
-   controller-expressible functions *)
+(* Can a controller execute [i]? Integer compute and forward control
+   only, plus result reads and calls to defined controller-expressible
+   functions; {!Qhybrid.Partition} places segments by the same rule. *)
 let controller_instr_ok (table : table) (i : Instr.t) =
   match i.Instr.op with
   | Instr.Binop (_, ty, _, _) | Instr.Icmp (_, ty, _, _) -> Ty.is_integer ty
@@ -178,6 +183,7 @@ let effect_free_vocab callee =
   || String.equal callee rt_array_get_size_1d
   || String.equal callee rt_array_get_element_ptr_1d
 
+(* The qubit and the result operands of a vocabulary call, resolved. *)
 let qubit_args_of vt callee (args : Operand.typed list) =
   match Signatures.find callee with
   | Some s when List.length s.Signatures.args = List.length args ->
@@ -364,6 +370,17 @@ let measure (fact : Fact.t) (r : Value_track.rref) =
 let is_measured (fact : Fact.t) (r : Value_track.rref) =
   fact.Fact.all_measured || RSet.mem r fact.Fact.measured
 
+(* Caller-owned pointer parameters start out live. *)
+let param_init (f : Func.t) : Fact.t =
+  List.fold_left
+    (fun (i, fact) (p : Func.param) ->
+      ( i + 1,
+        if Ty.equal p.Func.pty Ty.Ptr then
+          { fact with Fact.q = TMap.add (param_token i) Live fact.Fact.q }
+        else fact ))
+    (0, Fact.bottom) f.Func.params
+  |> snd
+
 (* The pass-B transfer. [on_read r] fires for every result read whose
    result is not measured on any path here (the recording hook). *)
 let transfer_b (table : table) vt ~on_read (i : Instr.t) (fact : Fact.t) :
@@ -490,9 +507,8 @@ let transfer_b (table : table) vt ~on_read (i : Instr.t) (fact : Fact.t) :
 
 (* ------------------------------------------------------------------ *)
 
-let summarize_func (table : table) (f : Func.t) : t =
+let summarize_func (table : table) vt (f : Func.t) : t =
   let nparams = List.length f.Func.params in
-  let vt = Value_track.of_func ~fresh_fns:(fresh_fns_of table) f in
   let fl = pass_a table vt f in
   if fl.a_opaque then opaque_summary f.Func.name nparams
   else begin
@@ -502,23 +518,13 @@ let summarize_func (table : table) (f : Func.t) : t =
     let recording = ref false in
     let on_read r = if !recording then reads := RSet.add r !reads in
     let cfg = Cfg.of_func f in
-    let init =
-      List.fold_left
-        (fun (i, fact) (p : Func.param) ->
-          ( i + 1,
-            if Ty.equal p.Func.pty Ty.Ptr then
-              { fact with Fact.q = TMap.add (param_token i) Live fact.Fact.q }
-            else fact ))
-        (0, Fact.bottom) f.Func.params
-      |> snd
-    in
     let tf =
       {
         Engine.instr = (fun _label i fact -> transfer_b table vt ~on_read i fact);
         Engine.term = Engine.uniform_term;
       }
     in
-    let res = Engine.solve ~init cfg tf in
+    let res = Engine.solve ~init:(param_init f) cfg tf in
     recording := true;
     let rets = ref [] and ret_vals = ref [] in
     List.iter
@@ -619,38 +625,26 @@ let summarize_func (table : table) (f : Func.t) : t =
 
 (* ------------------------------------------------------------------ *)
 
-let of_module ?call_graph ?const_facts (m : Ir_module.t) : table =
-  let cg =
-    match call_graph with Some cg -> cg | None -> Call_graph.build m
-  in
-  let table : table = Hashtbl.create 16 in
-  List.iter
-    (fun scc ->
-      let recursive =
-        match scc with
-        | [ fname ] -> Call_graph.is_recursive cg fname
-        | _ -> true
-      in
-      List.iter
-        (fun fname ->
-          match Call_graph.func cg fname with
-          | Some f ->
-            let s =
-              if recursive then
-                opaque_summary ~recursive:true fname
-                  (List.length f.Func.params)
-              else summarize_func table f
-            in
-            Hashtbl.replace table fname s
-          | None -> ())
-        scc)
-    (Call_graph.sccs_bottom_up cg);
+(* Every defined function of [cg]'s module, bottom-up, stamped with
+   [mf]'s constant-address verdicts. A non-recursive function's value
+   track is kept: its callees are summarized before it, so the track
+   resolves calls exactly as one built against the finished table. *)
+let of_module (cg : Call_graph.t) (mf : Const_addr.module_facts) :
+    table * tracks =
+  let table : table = Hashtbl.create 16 and tracks : tracks = Hashtbl.create 16 in
+  Call_graph.fold_bottom_up cg
+    (fun () ~recursive (f : Func.t) ->
+      let fname = f.Func.name in
+      Hashtbl.replace table fname
+        (if recursive then
+           opaque_summary ~recursive:true fname (List.length f.Func.params)
+         else begin
+           let vt = Value_track.of_func ~fresh_fns:(fresh_fns_of table) f in
+           Hashtbl.replace tracks fname (f, vt);
+           summarize_func table vt f
+         end))
+    ();
   (* stamp the interprocedural constant-address verdicts *)
-  let mf =
-    match const_facts with
-    | Some mf -> mf
-    | None -> Const_addr.analyze_module ~call_graph:cg m
-  in
   List.iter
     (fun (name, s) ->
       match Const_addr.param_lattices mf name with
@@ -658,4 +652,4 @@ let of_module ?call_graph ?const_facts (m : Ir_module.t) : table =
         Hashtbl.replace table name { s with const_params = lats }
       | Some _ | None -> ())
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []);
-  table
+  (table, tracks)

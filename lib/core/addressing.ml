@@ -13,6 +13,7 @@
 
 open Llvm_ir
 module Const_addr = Qir_analysis.Const_addr
+module Facts = Qir_analysis.Facts
 
 type style = Static | Dynamic | Mixed | No_qubits
 
@@ -42,12 +43,13 @@ type report = {
   upgraded_args : int;  (* dynamically shaped operands proved constant *)
 }
 
-let scan (m : Ir_module.t) : report =
+let scan (facts : Facts.t) : report =
+  let m = facts.Facts.m in
   let syn_static = ref false and syn_dynamic = ref false in
   let proved_args = ref 0 and unproved_args = ref 0 in
   (* interprocedural constant propagation: an address that is constant
      at every call site counts as proved inside the callee too *)
-  let mf = Const_addr.analyze_module m in
+  let mf = Facts.const_facts facts in
   List.iter
     (fun (f : Func.t) ->
       if not (Func.is_declaration f) then begin
@@ -101,8 +103,8 @@ let scan (m : Ir_module.t) : report =
   in
   { syntactic; proved; upgraded_args = !proved_args }
 
-let detect (m : Ir_module.t) : style = (scan m).syntactic
-let detect_proved = scan
+let detect_proved (m : Ir_module.t) = scan (Facts.of_module m)
+let detect (m : Ir_module.t) : style = (detect_proved m).syntactic
 
 (* Conversions (semantic route: QIR -> circuit -> QIR). When the
    syntactic parser rejects the module, rewrite proved-constant
@@ -123,7 +125,9 @@ let parse_with_upgrade (m : Ir_module.t) =
     in
     try Qir_parser.parse m
     with Qir_parser.Unsupported _ -> (
-      let m', upgraded = Const_addr.rewrite m in
+      let m', upgraded =
+        Const_addr.rewrite (Facts.const_facts (Facts.of_module m))
+      in
       if upgraded = 0 then raise first
       else
         let m' = Passes.Pipeline.optimize m' in

@@ -33,7 +33,12 @@ type report = {
       (** dynamically shaped qubit operands proved constant *)
 }
 
+val scan : Qir_analysis.Facts.t -> report
+(** The report over the module the facts describe, reading their
+    interprocedural constant-address facts. *)
+
 val detect_proved : Llvm_ir.Ir_module.t -> report
+(** [scan] over fresh facts. *)
 
 val to_static : ?record_output:bool -> Llvm_ir.Ir_module.t -> Llvm_ir.Ir_module.t
 val to_dynamic : ?record_output:bool -> Llvm_ir.Ir_module.t -> Llvm_ir.Ir_module.t

@@ -170,11 +170,11 @@ let check_adaptive_func acc (cg : Qir_analysis.Call_graph.t) (f : Func.t) =
 
 (* The adaptive check is whole-program: every defined function reachable
    from the entry point must conform, since it will execute there. *)
-let check_adaptive acc (m : Ir_module.t) =
-  let cg = Qir_analysis.Call_graph.build m in
+let check_adaptive acc (facts : Qir_analysis.Facts.t) =
+  let cg = Qir_analysis.Facts.call_graph facts in
   List.iter
     (fun name ->
-      match Ir_module.find_func m name with
+      match Ir_module.find_func facts.Qir_analysis.Facts.m name with
       | Some f when not (Func.is_declaration f) -> check_adaptive_func acc cg f
       | Some _ | None -> ())
     (Qir_analysis.Call_graph.reachable_defined cg)
@@ -185,7 +185,7 @@ let check (profile : Profile.t) (m : Ir_module.t) : violation list =
   | Some f -> (
     match profile with
     | Profile.Base -> check_base acc f
-    | Profile.Adaptive -> check_adaptive acc m
+    | Profile.Adaptive -> check_adaptive acc (Qir_analysis.Facts.of_module m)
     | Profile.Full -> ())
   | None -> ());
   List.rev acc.violations

@@ -12,13 +12,13 @@ type instr_class =
   | Memory (* alloca / load / store / gep *)
   | Call_classical (* call to a non-quantum function *)
 
-(* With [summaries] (see {!Qir_analysis.Summary}), calls to defined
-   functions classify by what the callee actually does instead of the
-   blanket [Call_classical]: a callee with quantum effects is Quantum, a
-   pure result-reading callee sits on the feedback boundary, and a
+(* Calls to functions [facts] summarizes (see {!Qir_analysis.Summary})
+   classify by what the callee actually does instead of the blanket
+   [Call_classical]: a callee with quantum effects is Quantum, a pure
+   result-reading callee sits on the feedback boundary, and a
    side-effect-free classical callee is plain classical compute. *)
-let classify_instr ?(summaries : Qir_analysis.Summary.table option)
-    (i : Instr.t) : instr_class =
+let classify_instr (facts : Qir_analysis.Facts.t) (i : Instr.t) : instr_class
+    =
   match i.Instr.op with
   | Instr.Call (_, callee, _) ->
     if Names.is_qis callee then
@@ -29,7 +29,7 @@ let classify_instr ?(summaries : Qir_analysis.Summary.table option)
       else Runtime_bookkeeping
     else begin
       match
-        Option.bind summaries (fun t -> Qir_analysis.Summary.find t callee)
+        Qir_analysis.Summary.find (Qir_analysis.Facts.summaries facts) callee
       with
       | Some s when not (Qir_analysis.Summary.quantum_free s) -> Quantum
       | Some s
@@ -63,12 +63,12 @@ type counts = {
   classical_calls : int;
 }
 
-let count_function ?summaries (f : Func.t) : counts =
+let count_function facts (f : Func.t) : counts =
   Func.fold_instrs f
     { quantum = 0; result_reads = 0; runtime = 0; classical = 0; memory = 0;
       classical_calls = 0 }
     (fun acc i ->
-      match classify_instr ?summaries i with
+      match classify_instr facts i with
       | Quantum -> { acc with quantum = acc.quantum + 1 }
       | Result_read -> { acc with result_reads = acc.result_reads + 1 }
       | Runtime_bookkeeping -> { acc with runtime = acc.runtime + 1 }
@@ -88,8 +88,8 @@ type segment = {
   reads_results : bool;
 }
 
-let coarse_class ?summaries i =
-  match classify_instr ?summaries i with
+let coarse_class facts i =
+  match classify_instr facts i with
   | Quantum -> `Quantum
   | Result_read | Runtime_bookkeeping | Classical | Memory | Call_classical ->
     `Classical
@@ -97,7 +97,7 @@ let coarse_class ?summaries i =
 (* Splits the straight-lined entry function into alternating segments.
    Operates on the instruction stream in block order; terminators between
    blocks are classical control and glue segments together. *)
-let segments_of_func ?summaries (f : Func.t) : segment list =
+let segments_of_func facts (f : Func.t) : segment list =
   let instrs =
     List.concat_map (fun (b : Block.t) -> b.Block.instrs) f.Func.blocks
   in
@@ -126,7 +126,7 @@ let segments_of_func ?summaries (f : Func.t) : segment list =
       in
       List.rev acc
     | i :: rest ->
-      let c = coarse_class ?summaries i in
+      let c = coarse_class facts i in
       if c = current_class || current = [] then
         group acc (i :: current) c rest
       else group ((current_class, List.rev current) :: acc) [ i ] c rest
@@ -162,7 +162,7 @@ let segments_of_func ?summaries (f : Func.t) : segment list =
       let reads_results =
         List.exists
           (fun i ->
-            match classify_instr ?summaries i with
+            match classify_instr facts i with
             | Result_read -> true
             | _ -> false)
           seg

@@ -10,12 +10,13 @@ type instr_class =
   | Memory  (** alloca / load / store / gep *)
   | Call_classical  (** call to a non-quantum function *)
 
-val classify_instr :
-  ?summaries:Qir_analysis.Summary.table -> Llvm_ir.Instr.t -> instr_class
-(** With [summaries], calls to defined functions classify by the
-    callee's effects — quantum-effect callees are [Quantum], pure
-    result-reading callees are [Result_read], side-effect-free classical
-    callees are [Classical] — instead of the blanket [Call_classical]. *)
+val classify_instr : Qir_analysis.Facts.t -> Llvm_ir.Instr.t -> instr_class
+(** Calls to functions the facts summarize classify by the callee's
+    effects — quantum-effect callees are [Quantum], pure result-reading
+    callees are [Result_read], side-effect-free classical callees are
+    [Classical] — instead of the blanket [Call_classical]. Under
+    {!Qir_analysis.Facts.without_summaries} every such call is
+    [Call_classical]. *)
 
 val class_name : instr_class -> string
 
@@ -28,8 +29,7 @@ type counts = {
   classical_calls : int;
 }
 
-val count_function :
-  ?summaries:Qir_analysis.Summary.table -> Llvm_ir.Func.t -> counts
+val count_function : Qir_analysis.Facts.t -> Llvm_ir.Func.t -> counts
 
 type segment = {
   seg_class : [ `Classical | `Quantum ];
@@ -40,7 +40,6 @@ type segment = {
   reads_results : bool;
 }
 
-val segments_of_func :
-  ?summaries:Qir_analysis.Summary.table -> Llvm_ir.Func.t -> segment list
+val segments_of_func : Qir_analysis.Facts.t -> Llvm_ir.Func.t -> segment list
 (** Maximal alternating quantum/classical runs over the entry function's
     instruction stream (in block order). *)

@@ -29,39 +29,17 @@ type plan = {
 (* Can the controller execute this instruction? Integer compute and
    forward branches only — no memory, floats or calls (the paper: special
    purpose hardware is "incapable of executing arbitrary classical
-   code"). *)
-let controller_supports ?(summaries : Qir_analysis.Summary.table option)
-    (i : Instr.t) =
-  match i.Instr.op with
-  | Instr.Binop (_, ty, _, _) | Instr.Icmp (_, ty, _, _) -> Ty.is_integer ty
-  | Instr.Select _ | Instr.Freeze _ -> true
-  | Instr.Cast ((Instr.Zext | Instr.Sext | Instr.Trunc), _, _) -> true
-  | Instr.Cast
-      ((Instr.Bitcast | Instr.Inttoptr | Instr.Ptrtoint | Instr.Sitofp
-        | Instr.Fptosi), _, _) ->
-    false
-  | Instr.Phi _ -> true
-  | Instr.Call (_, callee, _) -> (
-    (* result reads happen at the controller by construction *)
-    String.equal callee Names.rt_read_result
-    || String.equal callee Names.rt_result_equal
-    ||
-    (* a summarized callee whose body is itself controller-expressible
-       is conceptually inlinable into the controller program *)
-    match
-      Option.bind summaries (fun t -> Qir_analysis.Summary.find t callee)
-    with
-    | Some s -> s.Qir_analysis.Summary.controller_ok
-    | None -> false)
-  | Instr.Fbinop _ | Instr.Fcmp _ | Instr.Alloca _ | Instr.Load _
-  | Instr.Store _ | Instr.Gep _ ->
-    false
+   code"). Result reads happen at the controller by construction, and a
+   summarized callee whose body is itself controller-expressible is
+   conceptually inlinable into the controller program. *)
+let controller_supports (facts : Qir_analysis.Facts.t) (i : Instr.t) =
+  Qir_analysis.Summary.controller_instr_ok (Qir_analysis.Facts.summaries facts) i
 
-let segment_controller_ok ?summaries (s : Classify.segment) =
-  List.for_all (controller_supports ?summaries) s.Classify.instrs
+let segment_controller_ok facts (s : Classify.segment) =
+  List.for_all (controller_supports facts) s.Classify.instrs
 
-let plan ?summaries ?(params = Latency.default)
-    (segments : Classify.segment list) : plan =
+let plan ?(params = Latency.default) facts (segments : Classify.segment list)
+    : plan =
   let controller_budget = ref params.Latency.controller_max_instrs in
   let decisions =
     List.map
@@ -78,7 +56,7 @@ let plan ?summaries ?(params = Latency.default)
               forced = false }
           else begin
             let can_controller =
-              segment_controller_ok ?summaries s && n <= !controller_budget
+              segment_controller_ok facts s && n <= !controller_budget
             in
             let controller_cost =
               Latency.segment_cost params ~instrs:n Latency.Controller
@@ -112,8 +90,8 @@ let plan ?summaries ?(params = Latency.default)
 let plan_module ?params (m : Ir_module.t) =
   match Ir_module.entry_point m with
   | Some f when not (Func.is_declaration f) ->
-    let summaries = Qir_analysis.Summary.of_module m in
-    plan ~summaries ?params (Classify.segments_of_func ~summaries f)
+    let facts = Qir_analysis.Facts.of_module m in
+    plan ?params facts (Classify.segments_of_func facts f)
   | Some _ | None -> invalid_arg "Partition.plan_module: no entry point"
 
 let pp_plan ppf p =

@@ -22,19 +22,14 @@ type plan = {
   controller_instrs : int;
 }
 
-val controller_supports :
-  ?summaries:Qir_analysis.Summary.table -> Llvm_ir.Instr.t -> bool
-(** With [summaries], a call to a defined function whose summary says
-    [controller_ok] counts as supported (conceptually inlinable). *)
+val controller_supports : Qir_analysis.Facts.t -> Llvm_ir.Instr.t -> bool
+(** A call to a defined function whose summary says [controller_ok]
+    counts as supported (conceptually inlinable). *)
 
-val segment_controller_ok :
-  ?summaries:Qir_analysis.Summary.table -> Classify.segment -> bool
+val segment_controller_ok : Qir_analysis.Facts.t -> Classify.segment -> bool
 
 val plan :
-  ?summaries:Qir_analysis.Summary.table ->
-  ?params:Latency.params ->
-  Classify.segment list ->
-  plan
+  ?params:Latency.params -> Qir_analysis.Facts.t -> Classify.segment list -> plan
 
 val plan_module : ?params:Latency.params -> Llvm_ir.Ir_module.t -> plan
 (** Segments the entry point and plans it, consulting function effect

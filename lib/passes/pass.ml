@@ -29,23 +29,22 @@ let of_func_pass (p : func_pass) =
         (m', !changed));
   }
 
-(* Applies the passes in order, repeating the whole sequence until a round
-   changes nothing (or [max_rounds] is reached). *)
+(* Applies the passes once, in order; reports whether any changed. *)
+let run_once passes m =
+  List.fold_left
+    (fun (m, changed) p ->
+      let m', c = p.mrun m in
+      (m', changed || c))
+    (m, false) passes
+
+(* Repeats the whole sequence until a round changes nothing (or
+   [max_rounds] is reached). *)
 let run_until_fixpoint ?(max_rounds = 8) passes m =
   let rec go round m =
     if round >= max_rounds then m
-    else begin
-      let m, changed =
-        List.fold_left
-          (fun (m, changed) p ->
-            let m', c = p.mrun m in
-            (m', changed || c))
-          (m, false) passes
-      in
-      if changed then go (round + 1) m else m
-    end
+    else
+      match run_once passes m with
+      | m, true -> go (round + 1) m
+      | m, false -> m
   in
   go 0 m
-
-let run_once passes m =
-  List.fold_left (fun m p -> fst (p.mrun m)) m passes

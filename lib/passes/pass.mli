@@ -19,4 +19,5 @@ val run_until_fixpoint :
 (** Repeats the whole sequence until a round changes nothing (or
     [max_rounds], default 8). *)
 
-val run_once : module_pass list -> Ir_module.t -> Ir_module.t
+val run_once : module_pass list -> Ir_module.t -> Ir_module.t * bool
+(** Applies the sequence once; [true] when some pass changed something. *)

@@ -41,23 +41,75 @@ type run_result = {
   compile_s : float; (* bytecode compile time (0 on cache hit / ast) *)
 }
 
+(* The batched fast path (Sec. "as fast as the hardware allows"): when
+   the QIR program parses back into a circuit (Ex. 3) whose shots are
+   all drawn from one terminal distribution — no mid-circuit
+   measurement feeding later operations, no reset, no classical
+   conditional — run the fused unitary prefix once and sample every
+   shot from the final probabilities, instead of re-interpreting the
+   whole program per shot.
+
+   Key compatibility: the per-shot histogram is keyed by the recorded
+   output (result_record_output call order), or by results in address
+   order when nothing is recorded. The parser assigns clbit = result id
+   in allocation order, so before sampling we remap clbits to the
+   recorded order; programs whose recorded output is not a permutation
+   of the measured results fall back to per-shot execution. *)
+let remap_output_order (c : Qcircuit.Circuit.t) recorded =
+  let open Qcircuit in
+  match recorded with
+  | [] -> Some c (* no record calls: keys read results in address order *)
+  | _ ->
+    let pos = Hashtbl.create 8 in
+    let dup = ref false in
+    List.iteri
+      (fun i r -> if Hashtbl.mem pos r then dup := true else Hashtbl.add pos r i)
+      recorded;
+    let measures = ref 0 in
+    let ok = ref (not !dup) in
+    let ops =
+      List.map
+        (fun (op : Circuit.op) ->
+          match op.Circuit.kind with
+          | Circuit.Measure (q, cl) -> (
+            incr measures;
+            match Hashtbl.find_opt pos cl with
+            | Some i -> { op with Circuit.kind = Circuit.Measure (q, i) }
+            | None ->
+              ok := false;
+              op)
+          | _ -> op)
+        c.Circuit.ops
+    in
+    if !ok && !measures = List.length recorded then
+      Some { c with Circuit.ops; num_clbits = List.length recorded }
+    else None
+
+let batched_circuit (m : Ir_module.t) =
+  match Qir.Qir_parser.parse_with_output m with
+  | Ok (c, recorded) -> (
+    match remap_output_order c recorded with
+    | Some c when Qsim.Sampler.batchable c -> Some c
+    | Some _ | None -> None)
+  | Error _ -> None
+
+let batchable m = Option.is_some (batched_circuit m)
+
 (* ------------------------------------------------------------------ *)
 (* Sessions: the reentrant, handle-based home for everything that used
-   to be module-global mutable state — the compile-once bytecode cache
-   and the gate-tape verdict cache, both keyed by module *identity*
-   (physical equality), plus hit/miss counters the service tier and
-   qir-run --stats read. A long-running daemon creates one session per
-   logical cache domain; callers that never mention sessions share
-   [Session.default], which preserves the historical behaviour exactly.
+   to be module-global mutable state. A session keeps one entry per
+   module, keyed by module *identity* (physical equality): its compiled
+   bytecode, gate-tape verdict, resource certificate and batched-circuit
+   verdict, each kind in its own least-recently-used order and limit
+   (hits and evictions are those of separate caches), plus hit/miss
+   counters the service tier and qir-run --stats read. Callers that
+   never mention sessions share [Session.default].
 
-   One compilation is reused across shots, fault-injection retries,
-   batches and Domain-pool workers. A mutex guards the tiny per-session
-   lists; compilation itself is fast (linear in the module). The
-   analyses behind tape extraction (call graph, lifetime discipline,
-   constant-address propagation) cost orders of magnitude more than a
-   shot, so the verdict — [Some tape] or proved-ineligible [None] — is
-   cached exactly like the compiled program; cached verdicts report 0
-   analysis time. *)
+   The analyses behind the tape and the certificate cost orders of
+   magnitude more than a shot; both verdicts read the entry's one
+   {!Qir_analysis.Facts.t}, held until both are known. Everything is
+   computed with the session lock held, so no two Domains ever force
+   one entry's facts at once. *)
 
 module Session = struct
   type cache_stats = {
@@ -69,18 +121,36 @@ module Session = struct
     cert_misses : int;
   }
 
+  type value =
+    | Program of Bytecode.program
+    | Tape of Gate_tape.t option
+    | Cert of Qir_analysis.Resource.t
+    | Batched of Qcircuit.Circuit.t option
+
+  (* Slot indices of an entry, one per kind of value; {!cache_stats}
+     reports the first three's hits and misses. *)
+  let compile_slot = 0
+  let tape_slot = 1
+  let cert_slot = 2
+  let batched_slot = 3
+
+  (* A cached value, the seconds it took, and the tick of its last use. *)
+  type slot = { value : value; dt : float; mutable used : int }
+
+  type entry = {
+    m : Ir_module.t;
+    mutable facts : Qir_analysis.Facts.t option;
+        (* kept while the tape verdict or the certificate is missing *)
+    slots : slot option array;
+  }
+
   type t = {
     lock : Mutex.t;
     limit : int;
-    mutable compile_cache : (Ir_module.t * Bytecode.program * float) list;
-    mutable tape_cache : (Ir_module.t * Gate_tape.t option * float) list;
-    mutable cert_cache : (Ir_module.t * Qir_analysis.Resource.t * float) list;
-    mutable compile_hits : int;
-    mutable compile_misses : int;
-    mutable tape_hits : int;
-    mutable tape_misses : int;
-    mutable cert_hits : int;
-    mutable cert_misses : int;
+    mutable entries : entry list;
+    mutable tick : int;
+    hits : int array;
+    misses : int array;
   }
 
   let create ?(cache_limit = 8) () =
@@ -89,15 +159,10 @@ module Session = struct
     {
       lock = Mutex.create ();
       limit = cache_limit;
-      compile_cache = [];
-      tape_cache = [];
-      cert_cache = [];
-      compile_hits = 0;
-      compile_misses = 0;
-      tape_hits = 0;
-      tape_misses = 0;
-      cert_hits = 0;
-      cert_misses = 0;
+      entries = [];
+      tick = 0;
+      hits = Array.make 4 0;
+      misses = Array.make 4 0;
     }
 
   (* The process-wide session behind the session-less API. *)
@@ -107,98 +172,113 @@ module Session = struct
     Mutex.lock s.lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
 
-  (* Keep the newest [limit] entries, evicting from the tail. *)
-  let trim limit entries =
-    if List.length entries >= limit then
-      List.filteri (fun i _ -> i < limit - 1) entries
-    else entries
+  let find s m = List.find_opt (fun e -> e.m == m) s.entries
 
-  (* The caches are LRU, not FIFO: a hit moves the entry to the front.
-     Under a service workload — one long-lived hot module interleaved
-     with a stream of run-once cold modules — FIFO insertion order
-     would evict the hot entry every [limit] cold compiles, silently
-     turning the cheapest jobs in the queue into the most expensive
-     ones.  Move-to-front keeps entries ordered by recency so the
-     run-once modules evict each other instead. *)
-  let touch m entries =
-    List.find_opt (fun (m', _, _) -> m' == m) entries
-    |> Option.map (fun hit ->
-           (hit, hit :: List.filter (fun (m', _, _) -> m' != m) entries))
-
-  let compiled s (m : Ir_module.t) : Bytecode.program * float * bool =
+  (* The caches are LRU, not FIFO: a hit counts as a use. Under a
+     service workload — one long-lived hot module interleaved with a
+     stream of run-once cold modules — FIFO insertion order would evict
+     the hot entry every [limit] cold compiles, silently turning the
+     cheapest jobs in the queue into the most expensive ones. By
+     recency the run-once modules evict each other instead. *)
+  let lookup s k (m : Ir_module.t) compute =
     locked s (fun () ->
-        match touch m s.compile_cache with
-        | Some ((_, prog, dt), reordered) ->
-          s.compile_cache <- reordered;
-          s.compile_hits <- s.compile_hits + 1;
-          (prog, dt, true)
+        s.tick <- s.tick + 1;
+        let known = find s m in
+        let e =
+          match known with
+          | Some e -> e
+          | None -> { m; facts = None; slots = Array.make 4 None }
+        in
+        match e.slots.(k) with
+        | Some slot ->
+          slot.used <- s.tick;
+          s.hits.(k) <- s.hits.(k) + 1;
+          (slot.value, slot.dt, true)
         | None ->
           let t0 = Unix.gettimeofday () in
-          let prog = Bytecode.compile m in
+          let value = compute e in
           let dt = Unix.gettimeofday () -. t0 in
-          s.compile_cache <- (m, prog, dt) :: trim s.limit s.compile_cache;
-          s.compile_misses <- s.compile_misses + 1;
-          (prog, dt, false))
+          e.slots.(k) <- Some { value; dt; used = s.tick };
+          if e.slots.(tape_slot) <> None && e.slots.(cert_slot) <> None then
+            e.facts <- None;
+          s.misses.(k) <- s.misses.(k) + 1;
+          if Option.is_none known then s.entries <- e :: s.entries;
+          (* keep the [limit] most recently used values of this kind *)
+          let used e = match e.slots.(k) with Some x -> x.used | None -> max_int in
+          let holders = List.filter (fun e -> used e < max_int) s.entries in
+          if List.length holders > s.limit then begin
+            let oldest =
+              List.fold_left (fun a e -> if used e < used a then e else a) e holders
+            in
+            oldest.slots.(k) <- None;
+            s.entries <-
+              List.filter (fun e -> Array.exists Option.is_some e.slots) s.entries
+          end;
+          (value, dt, false))
 
-  let tape_of s (m : Ir_module.t) : Gate_tape.t option * float * bool =
-    locked s (fun () ->
-        match touch m s.tape_cache with
-        | Some ((_, tape, dt), reordered) ->
-          s.tape_cache <- reordered;
-          s.tape_hits <- s.tape_hits + 1;
-          (tape, dt, true)
-        | None ->
-          let t0 = Unix.gettimeofday () in
-          let tape = Gate_tape.extract m in
-          let dt = Unix.gettimeofday () -. t0 in
-          s.tape_cache <- (m, tape, dt) :: trim s.limit s.tape_cache;
-          s.tape_misses <- s.tape_misses + 1;
-          (tape, dt, false))
+  let facts_of e =
+    match e.facts with
+    | Some facts -> facts
+    | None ->
+      let facts = Qir_analysis.Facts.of_module e.m in
+      e.facts <- Some facts;
+      facts
 
-  (* The resource-certificate cache, third sibling of the compile and
-     tape caches: the certificate ({!Qir_analysis.Resource}) is what
-     admission control and the cost-fair scheduler charge, so a hot
-     module is certified once, not per submission. *)
-  let cert_of s (m : Ir_module.t) : Qir_analysis.Resource.t * float * bool =
-    locked s (fun () ->
-        match touch m s.cert_cache with
-        | Some ((_, cert, dt), reordered) ->
-          s.cert_cache <- reordered;
-          s.cert_hits <- s.cert_hits + 1;
-          (cert, dt, true)
-        | None ->
-          let t0 = Unix.gettimeofday () in
-          let cert = Qir_analysis.Resource.certify m in
-          let dt = Unix.gettimeofday () -. t0 in
-          s.cert_cache <- (m, cert, dt) :: trim s.limit s.cert_cache;
-          s.cert_misses <- s.cert_misses + 1;
-          (cert, dt, false))
+  let compiled s m =
+    match lookup s compile_slot m (fun e -> Program (Bytecode.compile e.m)) with
+    | Program p, dt, hit -> (p, dt, hit)
+    | _ -> assert false
+
+  let tape_of s m =
+    match lookup s tape_slot m (fun e -> Tape (Gate_tape.of_facts (facts_of e))) with
+    | Tape t, dt, hit -> (t, dt, hit)
+    | _ -> assert false
+
+  (* The certificate ({!Qir_analysis.Resource}) is what admission
+     control and the cost-fair scheduler charge, so a hot module is
+     certified once, not per submission. *)
+  let cert_of s m =
+    match
+      lookup s cert_slot m (fun e -> Cert (Qir_analysis.Resource.certify (facts_of e)))
+    with
+    | Cert c, dt, hit -> (c, dt, hit)
+    | _ -> assert false
+
+  let batched s m =
+    match lookup s batched_slot m (fun e -> Batched (batched_circuit e.m)) with
+    | Batched c, _, _ -> c
+    | _ -> assert false
 
   let cache_stats s =
     locked s (fun () ->
         {
-          compile_hits = s.compile_hits;
-          compile_misses = s.compile_misses;
-          tape_hits = s.tape_hits;
-          tape_misses = s.tape_misses;
-          cert_hits = s.cert_hits;
-          cert_misses = s.cert_misses;
+          compile_hits = s.hits.(compile_slot);
+          compile_misses = s.misses.(compile_slot);
+          tape_hits = s.hits.(tape_slot);
+          tape_misses = s.misses.(tape_slot);
+          cert_hits = s.hits.(cert_slot);
+          cert_misses = s.misses.(cert_slot);
         })
 
-  (* Is this module warm in either cache? Admission control and the
-     load-shedding policy treat cache-hot jobs as nearly free. *)
+  (* Is this module compiled or its tape verdict known? Admission
+     control and the load-shedding policy treat cache-hot jobs as nearly
+     free. *)
   let is_cached s (m : Ir_module.t) =
     locked s (fun () ->
-        List.exists (fun (m', _, _) -> m' == m) s.compile_cache
-        || List.exists (fun (m', _, _) -> m' == m) s.tape_cache)
+        match find s m with
+        | Some e -> e.slots.(compile_slot) <> None || e.slots.(tape_slot) <> None
+        | None -> false)
 
   (* The cached tape verdict, if the analysis already ran — a peek that
      never triggers the (expensive) analysis itself. *)
   let cached_tape s (m : Ir_module.t) =
     locked s (fun () ->
-        match List.find_opt (fun (m', _, _) -> m' == m) s.tape_cache with
-        | Some (_, tape, _) -> tape
-        | None -> None)
+        match Option.map (fun e -> e.slots.(tape_slot)) (find s m) with
+        | Some (Some { value = Tape t; _ }) -> t
+        | _ -> None)
+
+  let facts s (m : Ir_module.t) =
+    locked s (fun () -> Option.bind (find s m) (fun e -> e.facts))
 end
 
 let compiled m = Session.compiled Session.default m
@@ -283,60 +363,6 @@ let shot_key r =
   else
     String.concat ""
       (List.map (fun (_, b) -> if b then "1" else "0") r.results)
-
-(* The batched fast path (Sec. "as fast as the hardware allows"): when
-   the QIR program parses back into a circuit (Ex. 3) whose shots are
-   all drawn from one terminal distribution — no mid-circuit
-   measurement feeding later operations, no reset, no classical
-   conditional — run the fused unitary prefix once and sample every
-   shot from the final probabilities, instead of re-interpreting the
-   whole program per shot.
-
-   Key compatibility: the per-shot histogram is keyed by the recorded
-   output (result_record_output call order), or by results in address
-   order when nothing is recorded. The parser assigns clbit = result id
-   in allocation order, so before sampling we remap clbits to the
-   recorded order; programs whose recorded output is not a permutation
-   of the measured results fall back to per-shot execution. *)
-let remap_output_order (c : Qcircuit.Circuit.t) recorded =
-  let open Qcircuit in
-  match recorded with
-  | [] -> Some c (* no record calls: keys read results in address order *)
-  | _ ->
-    let pos = Hashtbl.create 8 in
-    let dup = ref false in
-    List.iteri
-      (fun i r -> if Hashtbl.mem pos r then dup := true else Hashtbl.add pos r i)
-      recorded;
-    let measures = ref 0 in
-    let ok = ref (not !dup) in
-    let ops =
-      List.map
-        (fun (op : Circuit.op) ->
-          match op.Circuit.kind with
-          | Circuit.Measure (q, cl) -> (
-            incr measures;
-            match Hashtbl.find_opt pos cl with
-            | Some i -> { op with Circuit.kind = Circuit.Measure (q, i) }
-            | None ->
-              ok := false;
-              op)
-          | _ -> op)
-        c.Circuit.ops
-    in
-    if !ok && !measures = List.length recorded then
-      Some { c with Circuit.ops; num_clbits = List.length recorded }
-    else None
-
-let batched_circuit (m : Ir_module.t) =
-  match Qir.Qir_parser.parse_with_output m with
-  | Ok (c, recorded) -> (
-    match remap_output_order c recorded with
-    | Some c when Qsim.Sampler.batchable c -> Some c
-    | Some _ | None -> None)
-  | Error _ -> None
-
-let batchable m = Option.is_some (batched_circuit m)
 
 (* The execution-tier ladder, fastest first: [`Batched] (fused unitary
    prefix, one simulation, all shots sampled from the final
@@ -432,7 +458,7 @@ let run_shots_resilient ?(session = Session.default)
       (* already over budget: let the per-shot loop record degradation *)
       `Not_batchable
     else if allow_batched && shots > 1 && backend = `Statevector then
-      match batched_circuit m with
+      match Session.batched session m with
       | None -> `Not_batchable
       | Some c -> (
         try

@@ -23,9 +23,13 @@ val engine_name : [< `Ast | `Bytecode ] -> string
 (** {1 Sessions}
 
     A session is the reentrant, handle-based home for everything that
-    used to be module-global mutable state: the compile-once bytecode
-    cache and the gate-tape verdict cache, keyed by module identity
-    ([==]), plus hit/miss counters. Every run entry point takes
+    used to be module-global mutable state. It keeps one entry per
+    module, keyed by module identity ([==]): the module's analysis
+    facts, compiled bytecode, gate-tape verdict, resource certificate
+    and batched-circuit verdict, plus hit/miss counters. The tape
+    verdict and the certificate read the entry's one
+    {!Qir_analysis.Facts.t}. Each kind of value keeps its own
+    least-recently-used order and limit. Every run entry point takes
     [?session]; callers that omit it share {!Session.default}, which
     preserves the historical behaviour exactly. A long-running service
     creates one session per logical cache domain and probes it for
@@ -63,15 +67,26 @@ module Session : sig
       static bounds ({!Qir_analysis.Resource.certify}) that admission
       control and the cost-fair scheduler charge. *)
 
+  val batched : t -> Llvm_ir.Ir_module.t -> Qcircuit.Circuit.t option
+  (** The batched fast path's circuit for the module, output order
+      remapped, or [None] when {!batchable} says no; parsed once per
+      entry. *)
+
   val cache_stats : t -> cache_stats
 
   val is_cached : t -> Llvm_ir.Ir_module.t -> bool
-  (** Is the module warm in either cache? Admission control and load
-      shedding treat cache-hot jobs as nearly free. *)
+  (** Is the module compiled or its tape verdict known? Admission
+      control and load shedding treat cache-hot jobs as nearly free. *)
 
   val cached_tape : t -> Llvm_ir.Ir_module.t -> Gate_tape.t option
   (** The cached tape verdict if the analysis already ran; never
       triggers the analysis itself. *)
+
+  val facts : t -> Llvm_ir.Ir_module.t -> Qir_analysis.Facts.t option
+  (** The module's facts while its entry still lacks the tape verdict
+      or the certificate; computes nothing. The session forces them
+      under its lock; a caller that forces them itself must do so while
+      no other Domain uses the session. *)
 end
 
 val compiled : Llvm_ir.Ir_module.t -> Llvm_ir.Bytecode.program * float * bool

@@ -236,7 +236,8 @@ let extract_call m facts measured emit (callee : string)
     end
     else raise Not_static (* incl. m, read_result, result_equal, alloc *)
 
-let extract (m : Ir_module.t) : t option =
+let of_facts (mfacts : Qir_analysis.Facts.t) : t option =
+  let m = mfacts.Qir_analysis.Facts.m in
   match Ir_module.entry_point m with
   | None -> None
   | Some entry when Func.is_declaration entry || entry.Func.params <> [] ->
@@ -245,21 +246,27 @@ let extract (m : Ir_module.t) : t option =
     try
       (* call-graph reachability: the entry must reach no defined
          function (every callee is an external the runtime implements) *)
-      let cg = Qir_analysis.Call_graph.build m in
+      let cg = Qir_analysis.Facts.call_graph mfacts in
       if Qir_analysis.Call_graph.callees cg entry.Func.name <> [] then
         raise Not_static;
       if Qir_analysis.Call_graph.is_recursive cg entry.Func.name then
         raise Not_static;
       (* lifetime discipline: any definite qubit/result misuse would
          fault at runtime — not a tape's business to reproduce *)
-      let lifetime = Qir_analysis.Lifetime.check_module m in
+      let lifetime = Qir_analysis.Lifetime.check_module mfacts in
       if
         List.exists
           (fun (d : Qir_analysis.Diagnostic.t) ->
             d.Qir_analysis.Diagnostic.severity = Qir_analysis.Diagnostic.Error)
           lifetime
       then raise Not_static;
-      let facts = Qir_analysis.Const_addr.analyze entry in
+      (* the parameterless, unrecursive entry is the fixpoint's root: its
+         module-level facts are its intraprocedural ones *)
+      let facts =
+        Qir_analysis.Const_addr.func_facts
+          (Qir_analysis.Facts.const_facts mfacts)
+          entry.Func.name
+      in
       let blocks = block_chain entry in
       let ops = ref [] and nrecords = ref 0 in
       let measured = Hashtbl.create 16 in
@@ -287,6 +294,8 @@ let extract (m : Ir_module.t) : t option =
         blocks;
       Some { ops = Array.of_list (List.rev !ops); records = !nrecords }
     with Not_static -> None)
+
+let extract m = of_facts (Qir_analysis.Facts.of_module m)
 
 (* ------------------------------------------------------------------ *)
 (* Replay                                                               *)

@@ -26,7 +26,12 @@ val qubits : t -> int
     register requirement of the proved-static program, used by the
     service tier's admission control to size statevector footprints. *)
 
+val of_facts : Qir_analysis.Facts.t -> t option
+(** The tape of the module the facts describe, reading their call
+    graph, summaries and constant-address facts. *)
+
 val extract : Llvm_ir.Ir_module.t -> t option
+(** [of_facts] over fresh facts. *)
 
 val replay : t -> Qsim.Backend.instance -> string
 (** Runs one shot against a fresh backend instance and returns the shot

@@ -488,7 +488,7 @@ let run_job t (job : job) =
   in
   let batchable =
     job.shots > 1 && job.backend = `Statevector && cap = `Batched
-    && Executor.batchable job.m
+    && Executor.Session.batched t.session job.m <> None
   in
   try
     if batchable then begin

@@ -818,12 +818,47 @@ type cluster_kind =
   | Cl_diag of int array * float array * float array
       (* the non-unit diagonal entries: sub-state indices, re/im *)
   | Cl_monomial of moves
-  | Cl_sparse of int array * int array * float array * float array
+  | Cl_sparse of int array * int array * float array * float array * pairs
       (* CSR over the exact nonzeros: row offsets (sub+1), column
          indices, then re/im weights. Fused Clifford+T matrices are
          mostly zeros (a CX-and-H product has 2-4 nonzeros per 32-wide
          row), so skipping them is the difference between a 2^m matvec
          and a near-constant number of multiplies per amplitude. *)
+
+(* Rows of a 2-sparse unitary built from 2-qubit gate products come in
+   partner pairs reading the same two columns in the same order. [pa.(k)]
+   and [pb.(k)] are the k-th pair's rows, earlier row first, pairs in the
+   order their later row appears. [None] unless every row has exactly two
+   entries and every row has exactly one partner. *)
+and pairs = (int array * int array) option
+
+let pair_rows rows cols sub : pairs =
+  let uniform2 = ref (sub mod 2 = 0) in
+  Array.iteri (fun r off -> if off <> 2 * r then uniform2 := false) rows;
+  if not !uniform2 then None
+  else begin
+    (* Every column of such a unitary holds exactly two entries, so two
+       rows share a first column only when they are partners or when one
+       of them has none. [first.(c)]: -2 unseen, a row waiting for its
+       partner, or -1 once paired. *)
+    let first = Array.make sub (-2) in
+    let npair = sub / 2 in
+    let pa = Array.make npair 0 and pb = Array.make npair 0 in
+    let np = ref 0 and ok = ref true in
+    for r = 0 to sub - 1 do
+      let c0 = cols.(2 * r) in
+      let prev = first.(c0) in
+      if prev = -2 then first.(c0) <- r
+      else if prev >= 0 && cols.((2 * prev) + 1) = cols.((2 * r) + 1) then begin
+        pa.(!np) <- prev;
+        pb.(!np) <- r;
+        incr np;
+        first.(c0) <- -1
+      end
+      else ok := false
+    done;
+    if !ok && !np = npair then Some (pa, pb) else None
+  end
 
 let compile_moves perm phr phi =
   let sub = Array.length perm in
@@ -916,7 +951,7 @@ let classify_cluster (u : Complex.t array array) sub =
       done
     done;
     rows.(sub) <- !p;
-    Cl_sparse (rows, cols, wre, wim)
+    Cl_sparse (rows, cols, wre, wim, pair_rows rows cols sub)
   end
 
 (* One pass over a flat amplitude slice for group indices [lo, hi).
@@ -1006,7 +1041,7 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
       end;
       base := ((b lor msk) + 1) land nmsk
     done
-  | Cl_sparse (rows, cols, wre, wim) ->
+  | Cl_sparse (rows, cols, wre, wim, pairs) ->
     (* Clusters built from one Hadamard-like gate and any number of
        permutation/phase gates put exactly two entries in every row —
        the overwhelmingly common non-monomial shape on Clifford+T
@@ -1031,38 +1066,8 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
       let bases = Array.make blk 0 in
       let svr = Array.make (blk * sub) 0.0 in
       let svi = Array.make (blk * sub) 0.0 in
-      (* Rows of a 2-sparse unitary built from 2-qubit gate products
-         come in partner pairs reading the same two columns in the
-         same order; pairing them shares the scratch loads and the
-         output-base load between the two rows. Detection is exact
-         (same column sequence), with the row-at-a-time scatter kept
-         as the fallback. *)
-      let npair = sub / 2 in
-      let pa = Array.make (max npair 1) 0 and pb = Array.make (max npair 1) 0 in
-      let paired =
-        if 2 * npair <> sub then false
-        else begin
-          let seen = Array.make (sub * sub) (-1) in
-          let np = ref 0 and ok = ref true in
-          for r = 0 to sub - 1 do
-            let c0 = Array.unsafe_get cols (2 * r)
-            and c1 = Array.unsafe_get cols ((2 * r) + 1) in
-            let key = (c0 * sub) + c1 in
-            let prev = Array.unsafe_get seen key in
-            if prev < 0 then Array.unsafe_set seen key r
-            else if prev < sub then begin
-              if !np < npair then begin
-                pa.(!np) <- prev;
-                pb.(!np) <- r;
-                incr np
-              end;
-              Array.unsafe_set seen key (sub + r)
-            end
-            else ok := false (* three rows on one support *)
-          done;
-          !ok && !np = npair
-        end
-      in
+      (* Partner rows (see {!pairs}) share the scratch loads and the
+         output-base load; the row-at-a-time scatter is the fallback. *)
       (* All-zero groups skip the matvec outright: U x 0 = 0, so the
          scatter would only rewrite zeros. Early sweeps of a circuit
          run on a mostly-unpopulated register and skip nearly every
@@ -1093,8 +1098,9 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
           Bytes.unsafe_set skipg gi (if !acc = 0.0 then '\001' else '\000');
           base := ((b lor msk) + 1) land nmsk
         done;
-        if paired then
-          for pr = 0 to npair - 1 do
+        (match pairs with
+        | Some (pa, pb) ->
+          for pr = 0 to Array.length pa - 1 do
             let ra = Array.unsafe_get pa pr and rb = Array.unsafe_get pb pr in
             let p = 2 * ra in
             let c0 = Array.unsafe_get cols p in
@@ -1143,7 +1149,7 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
               sb := s + sub
             done
           done
-        else
+        | None ->
           for row = 0 to sub - 1 do
             let p = 2 * row in
             let wr0 = Array.unsafe_get wre p
@@ -1175,7 +1181,7 @@ let cluster_sweep_flat ~checked ~kind ~ps ~offs ~sub (are : slice)
               end;
               sb := s + sub
             done
-          done;
+          done);
         g := !g + gb
       done
     end
@@ -1326,7 +1332,7 @@ let cluster_sweep_sharded st ~checked ~kind ~ps ~offs ~sub =
           done;
           o := ((!o lor lmsk) + 1) land nmsk
         done
-      | Cl_sparse (rows, cols, wre, wim) ->
+      | Cl_sparse (rows, cols, wre, wim, _) ->
         let vr = Array.make sub 0.0 and vi = Array.make sub 0.0 in
         let o = ref 0 in
         for _ = 1 to inner do

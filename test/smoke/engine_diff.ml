@@ -196,8 +196,7 @@ let deadline_parity () =
 (* 4. checked-in examples, plus recursive_bad under a fuel ceiling       *)
 
 let examples () =
-  let dir = "../../../examples" in
-  let dir = if Sys.file_exists dir then dir else "examples" in
+  let dir = if Array.length Sys.argv > 1 then Sys.argv.(1) else "examples" in
   let run_file name f =
     let path = Filename.concat dir name in
     if Sys.file_exists path then f path

@@ -90,6 +90,10 @@ exit:
 
 let lint src = Lint.run (parse src)
 
+(* One analysis of a freshly built context. *)
+let const_facts m = Facts.const_facts (Facts.of_module m)
+let summaries_of m = Facts.summaries (Facts.of_module m)
+
 let prelude =
   {|
 declare ptr @__quantum__rt__qubit_allocate()
@@ -326,7 +330,7 @@ join:
 
 let test_const_addr_proves_phi_static () =
   let m = parse phi_addr_src in
-  let s = Const_addr.summarize m in
+  let s = Const_addr.summarize (const_facts m) in
   check int_t "two operands proved" 2 s.Const_addr.proved_static;
   check int_t "none left dynamic" 0 s.Const_addr.dynamic;
   check int_t "two QA001 notes" 2 (count_rule "QA001" (Lint.run m))
@@ -566,7 +570,7 @@ entry:
 
 let test_summary_release_and_purity () =
   let m = parse (releasing_helper_src ~use_after:false) in
-  let tbl = Summary.of_module m in
+  let tbl = summaries_of m in
   let s =
     match Summary.find tbl "free_it" with
     | Some s -> s
@@ -592,7 +596,7 @@ entry:
   ret void
 }|}
   in
-  let tbl2 = Summary.of_module m2 in
+  let tbl2 = summaries_of m2 in
   (match Summary.find tbl2 "twice" with
   | Some s ->
     check bool_t "quantum free" true (Summary.quantum_free s);
@@ -619,7 +623,7 @@ entry:
   ret void
 }|})
   in
-  let tbl = Summary.of_module m in
+  let tbl = summaries_of m in
   (match Summary.find tbl "make_q" with
   | Some s ->
     check bool_t "returns fresh qubit" true s.Summary.returns_fresh_qubit
@@ -871,7 +875,7 @@ entry:
 
 let test_classify_with_summaries () =
   let m = parse (releasing_helper_src ~use_after:false) in
-  let summaries = Summary.of_module m in
+  let facts = Facts.of_module m in
   let f = Ir_module.find_func_exn m "main" in
   let call_to name =
     Func.fold_instrs f None (fun acc (i : Instr.t) ->
@@ -883,10 +887,11 @@ let test_classify_with_summaries () =
   (* without summaries a defined callee is an opaque classical call;
      with them, its quantum effects are visible *)
   check bool_t "opaque without summaries" true
-    (Qhybrid.Classify.classify_instr (call_to "free_it")
+    (Qhybrid.Classify.classify_instr (Facts.without_summaries facts)
+       (call_to "free_it")
     = Qhybrid.Classify.Call_classical);
   check bool_t "quantum with summaries" true
-    (Qhybrid.Classify.classify_instr ~summaries (call_to "free_it")
+    (Qhybrid.Classify.classify_instr facts (call_to "free_it")
     = Qhybrid.Classify.Quantum)
 
 (* ------------------------------------------------------------------ *)
@@ -1171,14 +1176,13 @@ let oracle_promote (m : Ir_module.t) =
   | Some entry
     when (not (Func.is_declaration entry))
          && entry.Func.params = [] && Qdf_opt.is_dynamic entry -> (
-    let cg = Call_graph.build m in
+    let facts = Facts.of_module m in
+    let cg = Facts.call_graph facts in
     let name = entry.Func.name in
     let lifetime_error =
       List.exists
         (fun (d : Diagnostic.t) -> d.Diagnostic.severity = Diagnostic.Error)
-        (Lifetime.check_module
-           ~summaries:(Summary.of_module ~call_graph:cg m)
-           m)
+        (Lifetime.check_module facts)
     in
     if Call_graph.callees cg name <> [] || Call_graph.is_recursive cg name
        || lifetime_error
@@ -1232,7 +1236,7 @@ let print_module m = Format.asprintf "%a" Printer.pp_module m
    its count. Returns the first disagreement. *)
 let qopt_disagreement (m : Ir_module.t) =
   let m_new, st_new = Qdf_opt.optimize m in
-  let notes_new = Qdf_opt.notes m in
+  let notes_new = Qdf_opt.notes (Facts.of_module m) in
   let m_old, st_old, notes_old, _ = oracle_optimize m in
   if not (String.equal (print_module m_new) (print_module m_old)) then
     Some "printed module"
@@ -1640,7 +1644,7 @@ let facts_equal (a : Const_addr.facts) (b : Const_addr.facts) =
    parameter lattices, proved constants, reached blocks, call arguments.
    Returns the first disagreeing function, if any. *)
 let worklist_disagreement (m : Ir_module.t) =
-  let mf = Const_addr.analyze_module m in
+  let mf = const_facts m in
   let per_func, param_lats = round_robin_facts m in
   List.find_opt
     (fun (f : Func.t) ->
@@ -1816,7 +1820,7 @@ let test_worklist_matches_round_robin () =
     [ (4, 4); (16, 8); (64, 8) ];
   let diamond = parse diamond_src in
   check_agrees "diamond" diamond;
-  let mf = Const_addr.analyze_module diamond in
+  let mf = const_facts diamond in
   check bool_t "diamond: %q joins to Varying, %r stays Cst" true
     (match lats_of mf "bottom" with
     | [ Const_addr.Varying; r ] -> is_cst r
@@ -1824,12 +1828,12 @@ let test_worklist_matches_round_robin () =
   let mutual = parse mutual_src in
   check_agrees "mutual recursion" mutual;
   check bool_t "mutual recursion: %q stays Cst, %n Varying" true
-    (match lats_of (Const_addr.analyze_module mutual) "odd" with
+    (match lats_of (const_facts mutual) "odd" with
     | [ q; Const_addr.Varying ] -> is_cst q
     | _ -> false);
   let unreachable = parse unreachable_src in
   check_agrees "unreachable function" unreachable;
-  let mf = Const_addr.analyze_module unreachable in
+  let mf = const_facts unreachable in
   check bool_t "orphan's parameter ends Varying" true
     (lats_of mf "orphan" = [ Const_addr.Varying ]);
   check bool_t "helper's parameter is proved" true
@@ -1871,13 +1875,13 @@ entry:
 
 let test_no_early_stop () =
   let m = parse early_stop_src in
-  let mf = Const_addr.analyze_module m in
+  let mf = const_facts m in
   let lats = lats_of mf "f" in
   check int_t "13 parameters" 13 (List.length lats);
   check bool_t "every parameter of @f is Varying" true
     (List.for_all (fun l -> l = Const_addr.Varying) lats);
   check int_t "no QA001 from the notes" 0
-    (count_rule "QA001" (Const_addr.notes ~module_facts:mf m));
+    (count_rule "QA001" (Const_addr.notes mf));
   check int_t "no QA001 from the lint" 0 (count_rule "QA001" (Lint.run m))
 
 (* A return to round-robin behaviour would re-analyze chains
@@ -1889,7 +1893,7 @@ let test_worklist_linear_on_chains () =
         (fun callers_first ->
           let m = parse (chain_src ~callers_first ~funcs ~qubits:2 ()) in
           let defined = List.length (Ir_module.defined_funcs m) in
-          let n = Const_addr.analyses (Const_addr.analyze_module m) in
+          let n = Const_addr.analyses (const_facts m) in
           if n > 2 * defined then
             Alcotest.failf
               "chain of %d (callers_first=%b): %d analyses for %d functions"
@@ -1957,6 +1961,268 @@ let ipo_props =
       ~name:"const-addr: worklist equals the round-robin oracle"
       QCheck2.Gen.(int_range 0 1_000_000)
       (fun seed -> worklist_disagreement (random_ipo_module seed) = None);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* One shared analysis context (Facts)                                  *)
+
+(* The per-consumer wiring the shared context replaced, kept as the
+   oracle: every consumer builds its own call graph, constant-address
+   fixpoint and summaries, and every check builds its own value track
+   against the finished summary table. *)
+let oracle_facts (m : Ir_module.t) : Facts.t =
+  let cg = Call_graph.build m in
+  let mf = Const_addr.analyze_module cg in
+  let table, _ = Summary.of_module cg mf in
+  {
+    Facts.m;
+    call_graph = Lazy.from_val cg;
+    const_facts = Lazy.from_val mf;
+    summaries = Lazy.from_val (table, Hashtbl.create 0);
+  }
+
+let oracle_lint ~ipo (m : Ir_module.t) =
+  match Lint.verifier_findings m with
+  | _ :: _ as structural -> structural
+  | [] ->
+    let notes () =
+      Const_addr.notes (Const_addr.analyze_module (Call_graph.build m))
+      @ Qdf_opt.notes (Facts.of_module m)
+    in
+    if ipo then
+      Call_graph.findings (Call_graph.build m)
+      @ Lifetime.check_module (oracle_facts m)
+      @ Quantum_dce.findings (oracle_facts m)
+      @ notes ()
+    else begin
+      let bare = Facts.without_summaries (oracle_facts m) in
+      (match Ir_module.entry_point m with
+      | Some f when not (Func.is_declaration f) ->
+        Lifetime.check_func bare ~is_entry:true f
+      | _ -> [])
+      @ Quantum_dce.findings bare @ notes ()
+    end
+
+(* The certificate before sharing: always on the shadow's own graph. *)
+let oracle_certify (m : Ir_module.t) =
+  let shadow, _ = Resource.normalize m in
+  Resource.of_call_graph
+    (Call_graph.build
+       { shadow with Ir_module.source_name = m.Ir_module.source_name })
+
+let sorted_bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let track_repr (vt : Value_track.t) =
+  ( sorted_bindings vt.Value_track.env,
+    sorted_bindings vt.Value_track.slots,
+    sorted_bindings vt.Value_track.site_of_def,
+    List.map
+      (fun (s : Value_track.site) -> (s.Value_track.site_id, s.Value_track.site_block))
+      vt.Value_track.sites )
+
+(* Every consumer reads one [Facts.t]; each answer must equal the
+   oracle's, built fresh. Returns the first disagreement. *)
+let sharing_disagreement (m : Ir_module.t) =
+  let shared = Facts.of_module m in
+  let checks =
+    [
+      ("lint", fun () -> Lint.check shared = oracle_lint ~ipo:true m);
+      ( "lint --ipo false",
+        fun () -> Lint.check ~ipo:false shared = oracle_lint ~ipo:false m );
+      ( "lifetime",
+        fun () ->
+          Lifetime.check_module shared = Lifetime.check_module (oracle_facts m)
+      );
+      ( "quantum-dce",
+        fun () ->
+          (Quantum_dce.analyze shared).Quantum_dce.dead
+          = (Quantum_dce.analyze (oracle_facts m)).Quantum_dce.dead );
+      ( "gate tape",
+        fun () ->
+          Gate_tape.of_facts shared
+          = Gate_tape.of_facts (Facts.of_module m) );
+      ("certificate", fun () -> Resource.certify shared = oracle_certify m);
+      ( "kept value tracks",
+        fun () ->
+          let table = Facts.summaries shared in
+          List.for_all
+            (fun (f : Func.t) ->
+              track_repr (Facts.track shared f)
+              = track_repr
+                  (Value_track.of_func
+                     ~fresh_fns:(Summary.fresh_fns_of table) f))
+            (Ir_module.defined_funcs m) );
+      ( "entry constant facts",
+        (* tape extraction reads the parameterless entry's module-level
+           facts where it used to analyze the entry alone *)
+        fun () ->
+          match Ir_module.entry_point m with
+          | Some e when (not (Func.is_declaration e)) && e.Func.params = [] ->
+            let a = Const_addr.analyze e
+            and b = Const_addr.func_facts (Facts.const_facts shared) e.Func.name in
+            Const_addr.SMap.equal Constant.equal a.Const_addr.consts
+              b.Const_addr.consts
+            && Cfg.SSet.equal a.Const_addr.reached_blocks
+                 b.Const_addr.reached_blocks
+          | _ -> true );
+    ]
+  in
+  List.find_map (fun (name, ok) -> if ok () then None else Some name) checks
+
+let example_modules () =
+  let dir = if Sys.file_exists "../examples" then "../examples" else "examples" in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".ll")
+  |> List.sort compare
+  |> List.map (fun f ->
+         let ic = open_in (Filename.concat dir f) in
+         let text = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         (f, Parser.parse_module ~source_name:f text))
+
+let test_sharing_fixtures () =
+  let fixtures =
+    example_modules ()
+    @ [
+        ("releasing helper", parse (releasing_helper_src ~use_after:false));
+        ("use after release", parse (releasing_helper_src ~use_after:true));
+        ("diamond with orphan", parse diamond_with_orphan);
+        ("threaded address", parse threaded_addr_src);
+        ("phi address", parse phi_addr_src);
+        ("mutual recursion", parse mutual_src);
+        ("early stop", parse early_stop_src);
+        ("chain", parse (chain_src ~funcs:12 ~qubits:3 ()));
+      ]
+  in
+  check bool_t "the examples are found" true (List.length fixtures > 8);
+  List.iter
+    (fun (name, m) ->
+      match sharing_disagreement m with
+      | None -> ()
+      | Some what -> Alcotest.failf "%s: shared %s differs from fresh" name what)
+    fixtures
+
+(* An alloca-resident loop counter: certification's mem2reg shadow
+   differs from the module. *)
+let counted_loop_src =
+  {|declare void @__quantum__qis__h__body(ptr)
+
+define void @main() "entry_point" {
+entry:
+  %i = alloca i32, align 4
+  store i32 0, ptr %i, align 4
+  br label %head
+head:
+  %1 = load i32, ptr %i, align 4
+  %cond = icmp slt i32 %1, 10
+  br i1 %cond, label %body, label %exit
+body:
+  call void @__quantum__qis__h__body(ptr null)
+  %2 = add nsw i32 %1, 1
+  store i32 %2, ptr %i, align 4
+  br label %head
+exit:
+  ret void
+}|}
+
+let test_session_shares_facts () =
+  let module S = Executor.Session in
+  let m =
+    parse
+      (prelude
+     ^ {|
+define void @main() "entry_point" {
+entry:
+  call void @__quantum__qis__h__body(ptr null)
+  call void @__quantum__qis__x__body(ptr inttoptr (i64 1 to ptr))
+  call void @__quantum__qis__mz__body(ptr null, ptr null)
+  ret void
+}|})
+  in
+  check bool_t "normalization leaves it alone" false (snd (Resource.normalize m));
+  let s = S.create () in
+  let cert, _, _ = S.cert_of s m in
+  let facts = Option.get (S.facts s m) in
+  check bool_t "certification read the entry's call graph" true
+    (Lazy.is_val facts.Facts.call_graph);
+  check bool_t "and built no summaries" false (Lazy.is_val facts.Facts.summaries);
+  let cg = Facts.call_graph facts in
+  let tape, _, _ = S.tape_of s m in
+  (* the tape's lifetime check forced the summaries of those very facts,
+     over the call graph certification built *)
+  check bool_t "the tape read the same facts" true
+    (Lazy.is_val facts.Facts.summaries);
+  check bool_t "and the same call graph" true (Facts.call_graph facts == cg);
+  check bool_t "both verdicts known: facts dropped" true (S.facts s m = None);
+  check bool_t "certificate equals a fresh one" true (cert = oracle_certify m);
+  check bool_t "tape equals a fresh one" true (tape = Gate_tape.extract m);
+  (* normalization changes this one: it certifies on its shadow's own
+     graph and leaves the entry's call graph unbuilt *)
+  let m = parse counted_loop_src in
+  check bool_t "normalization changes the module" true
+    (snd (Resource.normalize m));
+  let cert, _, _ = S.cert_of s m in
+  let facts = Option.get (S.facts s m) in
+  check bool_t "shadow certificate equals a fresh one" true
+    (cert = oracle_certify m);
+  check bool_t "the shadow got its own call graph" false
+    (Lazy.is_val facts.Facts.call_graph);
+  check int_t "the counted loop's trips are proved" 10
+    cert.Resource.gates.Resource.lo
+
+(* The Session's one entry per module against a model of the three
+   separate LRU caches it replaced: every lookup must hit or miss as the
+   model's does, and [is_cached] must agree after every step. *)
+let test_session_lru_model () =
+  let module S = Executor.Session in
+  let modules =
+    Array.init 5 (fun i -> parse (releasing_helper_src ~use_after:(i mod 2 = 1)))
+  in
+  let touch limit cache m =
+    if List.memq m cache then (true, m :: List.filter (( != ) m) cache)
+    else
+      ( false,
+        m
+        :: (if List.length cache >= limit then
+              List.filteri (fun i _ -> i < limit - 1) cache
+            else cache) )
+  in
+  List.iter
+    (fun (seed, limit) ->
+      let st = Random.State.make [| seed |] in
+      let s = S.create ~cache_limit:limit () in
+      let caches = Array.make 3 [] in
+      for step = 1 to 150 do
+        let m = modules.(Random.State.int st (Array.length modules)) in
+        let k = Random.State.int st 3 in
+        let hit =
+          match k with
+          | 0 -> (fun (_, _, hit) -> hit) (S.compiled s m)
+          | 1 -> (fun (_, _, hit) -> hit) (S.tape_of s m)
+          | _ -> (fun (_, _, hit) -> hit) (S.cert_of s m)
+        in
+        let expected, cache = touch limit caches.(k) m in
+        caches.(k) <- cache;
+        if hit <> expected then
+          Alcotest.failf "seed %d step %d: kind %d hit=%b, model %b" seed step k
+            hit expected;
+        Array.iter
+          (fun m ->
+            if
+              S.is_cached s m
+              <> (List.memq m caches.(0) || List.memq m caches.(1))
+            then Alcotest.failf "seed %d step %d: is_cached disagrees" seed step)
+          modules
+      done)
+    [ (1, 1); (2, 2); (3, 3); (4, 2); (5, 4) ]
+
+let sharing_props =
+  [
+    QCheck2.Test.make ~count:100
+      ~name:"facts: one shared context equals per-consumer builds"
+      QCheck2.Gen.(int_range 0 1_000_000)
+      (fun seed -> sharing_disagreement (random_ipo_module seed) = None);
   ]
 
 let suite =
@@ -2052,7 +2318,14 @@ let suite =
       test_no_early_stop;
     Alcotest.test_case "const-addr: linear analyses on chains" `Quick
       test_worklist_linear_on_chains;
+    Alcotest.test_case "facts: shared context equals fresh builds" `Quick
+      test_sharing_fixtures;
+    Alcotest.test_case "facts: session tape and certificate share facts"
+      `Quick test_session_shares_facts;
+    Alcotest.test_case "session: per-kind LRU equals three caches" `Quick
+      test_session_lru_model;
   ]
   @ List.map QCheck_alcotest.to_alcotest qopt_props
   @ List.map QCheck_alcotest.to_alcotest qopt_oracle_props
   @ List.map QCheck_alcotest.to_alcotest ipo_props
+  @ List.map QCheck_alcotest.to_alcotest sharing_props

@@ -34,10 +34,13 @@ done:
 
 let parse src = Llvm_ir.Parser.parse_module src
 
+(* classification with every call to a defined function unsummarized *)
+let no_summaries m = Qir_analysis.Facts.(without_summaries (of_module m))
+
 let test_classify_counts () =
   let m = parse hybrid_src in
   let f = Llvm_ir.Ir_module.find_func_exn m "main" in
-  let counts = Classify.count_function f in
+  let counts = Classify.count_function (no_summaries m) f in
   check int_t "quantum" 3 counts.Classify.quantum;
   check int_t "result reads" 1 counts.Classify.result_reads;
   check int_t "classical" 3 counts.Classify.classical
@@ -45,7 +48,7 @@ let test_classify_counts () =
 let test_segments () =
   let m = parse hybrid_src in
   let f = Llvm_ir.Ir_module.find_func_exn m "main" in
-  let segs = Classify.segments_of_func f in
+  let segs = Classify.segments_of_func (no_summaries m) f in
   (* quantum (h, mz) / classical (read+arith) / quantum (x) *)
   check int_t "three segments" 3 (List.length segs);
   match segs with

@@ -299,6 +299,16 @@ let test_pool () =
 (* A fused 1-qubit Hadamard on a 4-qubit register takes the uniform-2
    CSR path; its block scratch is sized by the register's 8 groups,
    not by the 1024-group cap. *)
+(* A 6-qubit 2-sparse unitary whose rows come in partner pairs: H on
+   bit 0 times a permutation of the upper five bits. *)
+let sparse6 =
+  let h = 1.0 /. sqrt 2.0 in
+  Array.init 64 (fun r ->
+      Array.init 64 (fun c ->
+          if c lsr 1 <> ((r lsr 1) * 5 + 3) land 31 then Complex.zero
+          else if r land c land 1 = 1 then { Complex.re = -.h; im = 0.0 }
+          else { Complex.re = h; im = 0.0 }))
+
 let test_small_sweep_alloc () =
   with_pool ~domains:1 ~threshold:(1 lsl 14) (fun () ->
       let st = Sv.create 4 in
@@ -308,7 +318,17 @@ let test_small_sweep_alloc () =
       Sv.apply_cluster st h [| 1 |];
       let bytes = Gc.allocated_bytes () -. a0 in
       if bytes >= 4096.0 then
-        Alcotest.failf "apply_cluster on 4 qubits allocated %.0f bytes" bytes)
+        Alcotest.failf "apply_cluster on 4 qubits allocated %.0f bytes" bytes;
+      (* the partner-row pairing is part of the classification, not a
+         per-call sub x sub scratch *)
+      let st = Sv.create 6 and qs = Array.init 6 Fun.id in
+      Sv.apply_cluster st sparse6 qs;
+      let a0 = Gc.allocated_bytes () in
+      Sv.apply_cluster st sparse6 qs;
+      let bytes = Gc.allocated_bytes () -. a0 in
+      if bytes >= 4096.0 then
+        Alcotest.failf "2-sparse apply_cluster on 6 qubits allocated %.0f bytes"
+          bytes)
 
 let suite =
   [

@@ -296,7 +296,7 @@ let underdeclared_src =
 
 let test_admission_proof_beats_declaration () =
   let m = parse underdeclared_src in
-  let cert = Qir_analysis.Resource.certify m in
+  let cert = Qir_analysis.(Resource.certify (Facts.of_module m)) in
   let v = Admission.evaluate ~cert ~backend:`Statevector m in
   check int_t "charged the proven peak, not the declared 1" 3
     v.Admission.v_qubits;
@@ -331,7 +331,7 @@ let provably_big_src =
 
 let test_admission_lower_bound_rejects_before_compile () =
   let m = parse provably_big_src in
-  let cert = Qir_analysis.Resource.certify m in
+  let cert = Qir_analysis.(Resource.certify (Facts.of_module m)) in
   check int_t "proven lower bound" 28 (Qir_analysis.Resource.qubits_lower cert);
   match Admission.check ~cert ~budget:(1 lsl 30) ~backend:`Statevector m with
   | Ok _ -> Alcotest.fail "proven 4 GiB lower bound admitted under 1 GiB"
